@@ -30,9 +30,11 @@ dune build 2>&1 | tee "$build_log"
 # DAG); lib/sim, lib/app, lib/apps, lib/gen and lib/trace carry the
 # topology-synthesis scaling path; lib/core and lib/net carry the
 # pipeline and the socket layer the request-trace context rides on;
-# lib/loadgen carries the arrival-rate profiles the surge path samples.
+# lib/loadgen carries the arrival-rate profiles the surge path samples;
+# lib/isa, lib/os and lib/profile carry the instruction templates, the
+# page cache and the profile stage the measurement hot path runs through.
 # Keep them all warning-clean.
-if grep -i "warning" "$build_log" | grep -qE "lib/(obs|report|fault|util|uarch|tune|sim|app|apps|gen|trace|core|net|loadgen)|bench/|bin/"; then
+if grep -i "warning" "$build_log" | grep -qE "lib/(obs|report|fault|util|uarch|tune|sim|app|apps|gen|trace|core|net|loadgen|isa|os|profile)|bench/|bin/"; then
   echo "ci: FAIL — build warnings in the gated modules" >&2
   exit 1
 fi

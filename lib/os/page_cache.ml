@@ -1,61 +1,64 @@
 let page_bytes = 4096
 
-(* Doubly-linked LRU list over page ids, with a hashtable index. *)
-type node = { page : int; mutable prev : node option; mutable next : node option }
+module Index = Hashtbl.Make (Int)
+
+(* Circular doubly-linked LRU list through a sentinel, with an int-keyed
+   index: [sentinel.next] is the most recent page, [sentinel.prev] the
+   least recent. With a sentinel the links need no options, so moving a
+   page to the front allocates nothing. *)
+type node = { page : int; mutable prev : node; mutable next : node }
 
 type t = {
   capacity : int; (* pages *)
-  index : (int, node) Hashtbl.t;
-  mutable head : node option; (* most recent *)
-  mutable tail : node option; (* least recent *)
+  index : node Index.t;
+  sentinel : node;
   mutable size : int;
   mutable lookups : int;
   mutable misses : int;
 }
 
 let create ~capacity_bytes =
+  let rec sentinel = { page = -1; prev = sentinel; next = sentinel } in
   {
     capacity = max 1 (capacity_bytes / page_bytes);
-    index = Hashtbl.create 4096;
-    head = None;
-    tail = None;
+    index = Index.create 4096;
+    sentinel;
     size = 0;
     lookups = 0;
     misses = 0;
   }
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+  let s = t.sentinel in
+  n.next <- s.next;
+  n.prev <- s;
+  s.next.prev <- n;
+  s.next <- n
 
 let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-      unlink t n;
-      Hashtbl.remove t.index n.page;
-      t.size <- t.size - 1
+  let n = t.sentinel.prev in
+  if n != t.sentinel then begin
+    unlink n;
+    Index.remove t.index n.page;
+    t.size <- t.size - 1
+  end
 
 let touch_page t page =
   t.lookups <- t.lookups + 1;
-  match Hashtbl.find_opt t.index page with
-  | Some n ->
-      unlink t n;
+  match Index.find t.index page with
+  | n ->
+      unlink n;
       push_front t n;
       true
-  | None ->
+  | exception Not_found ->
       t.misses <- t.misses + 1;
       if t.size >= t.capacity then evict_lru t;
-      let n = { page; prev = None; next = None } in
-      Hashtbl.add t.index page n;
+      let n = { page; prev = t.sentinel; next = t.sentinel } in
+      Index.add t.index page n;
       push_front t n;
       t.size <- t.size + 1;
       false
@@ -83,7 +86,7 @@ let reset_stats t =
   t.misses <- 0
 
 let flush t =
-  Hashtbl.reset t.index;
-  t.head <- None;
-  t.tail <- None;
+  Index.reset t.index;
+  t.sentinel.next <- t.sentinel;
+  t.sentinel.prev <- t.sentinel;
   t.size <- 0

@@ -1,7 +1,11 @@
 open Ditto_isa
 
 let bins = 11
-let bin_of_distance d = min (bins - 1) (Ditto_util.Histogram.log2_bin (max 1 d))
+(* Int-typed clamps: [Stdlib.min]/[max] are polymorphic and compare
+   through [compare_val] on this per-event path. *)
+let bin_of_distance d =
+  let b = Ditto_util.Histogram.log2_bin (if d > 1 then d else 1) in
+  if b < bins - 1 then b else bins - 1
 
 type t = {
   raw : float array;

@@ -83,17 +83,45 @@ let detect (tier : Spec.tier) ~samples ~seed =
           tier.Spec.thread_model.Spec.background
   in
   let all = Array.of_list (worker_trees @ background_trees) in
+  (* Most sampled activations have identical call trees: intern them and
+     compute each ordered pair of distinct trees' distance once. The
+     memo returns exactly what the direct call would, so the clustering is
+     unchanged. *)
+  let ids = Hashtbl.create 16 in
+  let interned =
+    Array.map
+      (fun (kind, tree) ->
+        let id =
+          match Hashtbl.find_opt ids tree with
+          | Some id -> id
+          | None ->
+              let id = Hashtbl.length ids in
+              Hashtbl.add ids tree id;
+              id
+        in
+        (kind, id, tree))
+      all
+  in
+  let distinct = Hashtbl.length ids in
+  let memo = Array.make_matrix distinct distinct Float.nan in
+  let distance (_, ia, a) (_, ib, b) =
+    let d = memo.(ia).(ib) in
+    if Float.is_nan d then begin
+      let d = Tree.normalized_distance a b in
+      memo.(ia).(ib) <- d;
+      d
+    end
+    else d
+  in
   let clusters =
-    Ditto_util.Cluster.agglomerative
-      ~distance:(fun (_, a) (_, b) -> Tree.normalized_distance a b)
-      ~threshold:clustering_threshold all
+    Ditto_util.Cluster.agglomerative ~distance ~threshold:clustering_threshold interned
   in
   let thread_classes =
     List.map
       (fun members ->
         let timer =
           List.exists
-            (fun (kind, _) -> match kind with `Background -> true | `Worker -> false)
+            (fun (kind, _, _) -> match kind with `Background -> true | `Worker -> false)
             members
         in
         {

@@ -13,7 +13,7 @@ type t = {
   use_plru : bool;
   plru_levels : int;
   tags : int array; (* sets * assoc; -1 = invalid *)
-  stamps : int array; (* LRU timestamps, parallel to [tags] *)
+  stamps : int array; (* LRU timestamps, parallel to [tags]; empty under PLRU *)
   plru : int array; (* per-set tree bits *)
   mutable tick : int;
   (* Set on the first state-changing operation since the last flush, so
@@ -34,15 +34,16 @@ let create ?(replacement = Lru) ~size_bytes ~assoc () =
     incr levels;
     tmp := !tmp / 2
   done;
+  let use_plru = replacement = Plru && is_pow2 assoc && assoc >= 2 in
   {
     replacement;
     sets;
     assoc;
     size_bytes;
-    use_plru = replacement = Plru && is_pow2 assoc && assoc >= 2;
+    use_plru;
     plru_levels = !levels;
     tags = Array.make (sets * assoc) (-1);
-    stamps = Array.make (sets * assoc) 0;
+    stamps = (if use_plru then [||] else Array.make (sets * assoc) 0);
     plru = Array.make sets 0;
     tick = 0;
     dirty = false;
@@ -57,18 +58,18 @@ let sets t = t.sets
 let set_of t addr = (addr lsr 6) land (t.sets - 1)
 let tag_of addr = addr lsr 6
 
-(* Indices are in range by construction ([set] is masked, [w < assoc]),
-   so the way scan — the single hottest loop in the cache model — skips
-   bounds checks. *)
-let find_way t set tag =
-  let base = set * t.assoc in
-  let tags = t.tags in
-  let rec go w =
-    if w >= t.assoc then -1
-    else if Array.unsafe_get tags (base + w) = tag then w
-    else go (w + 1)
-  in
-  go 0
+(* Index of the first way in [base, base + assoc) of [tags] holding [tag],
+   relative to [base], or -1. Indices are in range by construction ([set]
+   is masked, ways stay below [assoc]), so the way scan — the single
+   hottest loop in the cache model — skips bounds checks. A top-level
+   function of ints and an [int array], not a local closure: the lookup
+   allocates nothing. *)
+let rec scan_ways (tags : int array) (base : int) (w : int) (assoc : int) (tag : int) =
+  if w >= assoc then -1
+  else if Array.unsafe_get tags (base + w) = tag then w
+  else scan_ways tags base (w + 1) assoc tag
+
+let find_way t set tag = scan_ways t.tags (set * t.assoc) 0 t.assoc tag
 
 (* Tree-PLRU: follow the direction bits down a (log2 assoc)-deep tree to the
    victim leaf; touching a way repoints the bits on its path away from it. *)
@@ -111,10 +112,13 @@ let lru_victim t set =
   done;
   !victim
 
+(* Tree-PLRU caches never consult LRU stamps, so they keep none. *)
 let touch t set way =
-  t.tick <- t.tick + 1;
-  Array.unsafe_set t.stamps ((set * t.assoc) + way) t.tick;
   if t.use_plru then plru_touch t set way
+  else begin
+    t.tick <- t.tick + 1;
+    Array.unsafe_set t.stamps ((set * t.assoc) + way) t.tick
+  end
 
 let access t addr ~hit =
   t.dirty <- true;
@@ -128,13 +132,8 @@ let access t addr ~hit =
     hit := false;
     let victim =
       if t.use_plru then begin
-        let base = set * t.assoc in
-        let rec first_invalid w =
-          if w >= t.assoc then plru_victim t set
-          else if t.tags.(base + w) = -1 then w
-          else first_invalid (w + 1)
-        in
-        first_invalid 0
+        let invalid = find_way t set (-1) in
+        if invalid >= 0 then invalid else plru_victim t set
       end
       else lru_victim t set
     in

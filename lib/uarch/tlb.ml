@@ -7,6 +7,7 @@ type t = {
   walk_cycles : int;
   mutable lookups : int;
   mutable misses : int;
+  hit : bool ref; (* scratch for [Cache.access], allocated once *)
 }
 
 (* Reuse the set-associative tag store: one "line" per page by feeding it
@@ -21,12 +22,13 @@ let create ?(l1_entries = 64) ?(stlb_entries = 1536) ?(walk_cycles = 30) () =
     walk_cycles;
     lookups = 0;
     misses = 0;
+    hit = ref false;
   }
 
 let access t addr =
   let key = page_key addr in
   t.lookups <- t.lookups + 1;
-  let hit = ref false in
+  let hit = t.hit in
   Cache.access t.l1 key ~hit;
   if !hit then 0
   else begin

@@ -25,7 +25,7 @@ let merge a b =
   out
 
 let log2_bin v =
-  let v = max 1 v in
+  let v = if v > 1 then v else 1 in
   let rec go acc v = if v <= 1 then acc else go (acc + 1) (v lsr 1) in
   go 0 v
 

@@ -44,10 +44,12 @@ let distance ?(cost_ins = fun _ -> 1.0) ?(cost_del = fun _ -> 1.0)
   let a = index t1 and b = index t2 in
   let n = Array.length a.labels and m = Array.length b.labels in
   let td = Array.make_matrix n m 0.0 in
+  (* One forest-distance buffer for every keyroot pair: each pair writes
+     every cell it reads except [fd.(0).(0)], which stays 0. *)
+  let fd = Array.make_matrix (n + 1) (m + 1) 0.0 in
   let tree_dist i j =
     let li = a.lld.(i) and lj = b.lld.(j) in
     let rows = i - li + 2 and cols = j - lj + 2 in
-    let fd = Array.make_matrix rows cols 0.0 in
     for x = 1 to rows - 1 do
       fd.(x).(0) <- fd.(x - 1).(0) +. cost_del a.labels.(li + x - 1)
     done;

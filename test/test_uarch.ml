@@ -362,6 +362,317 @@ let test_core_topdown_accumulates () =
   Alcotest.(check bool) "memory-bound stream is backend-bound" true
     (td.Counters.backend > td.Counters.retiring)
 
+(* {1 Cache against a naive reference model} *)
+
+(* A direct transcription of the replacement policies, with none of the
+   hot-path machinery (way scan, stamp ticks, no stamps under PLRU): per set, a tag
+   per way, a recency list for LRU and explicit tree bits for PLRU. Invalid
+   ways are filled lowest-index first under both policies. *)
+module Ref_cache = struct
+  type t = {
+    sets : int;
+    assoc : int;
+    plru : bool;
+    tags : int array array;
+    mutable order : int list array; (* ways, most recent first *)
+    bits : bool array array; (* PLRU node -> "victim is in the right half" *)
+  }
+
+  let create ~plru ~sets ~assoc =
+    {
+      sets;
+      assoc;
+      plru = plru && assoc >= 2 && assoc land (assoc - 1) = 0;
+      tags = Array.init sets (fun _ -> Array.make assoc (-1));
+      order = Array.make sets [];
+      bits = Array.init sets (fun _ -> Array.make (max 1 (assoc - 1)) false);
+    }
+
+  let locate t addr = ((addr lsr 6) land (t.sets - 1), addr lsr 6)
+
+  let find t set tag =
+    let rec go w = if w = t.assoc then None else if t.tags.(set).(w) = tag then Some w else go (w + 1) in
+    go 0
+
+  let levels t =
+    let rec go n acc = if n <= 1 then acc else go (n / 2) (acc + 1) in
+    go t.assoc 0
+
+  let touch t set way =
+    t.order.(set) <- way :: List.filter (fun w -> w <> way) t.order.(set);
+    if t.plru then begin
+      let node = ref 0 in
+      for level = levels t - 1 downto 0 do
+        let dir = (way lsr level) land 1 in
+        t.bits.(set).(!node) <- dir = 0;
+        node := (2 * !node) + 1 + dir
+      done
+    end
+
+  let victim t set =
+    match find t set (-1) with
+    | Some w -> w
+    | None ->
+        if t.plru then begin
+          let node = ref 0 and way = ref 0 in
+          for _ = 1 to levels t do
+            let dir = if t.bits.(set).(!node) then 1 else 0 in
+            way := (2 * !way) + dir;
+            node := (2 * !node) + 1 + dir
+          done;
+          !way
+        end
+        else List.nth t.order.(set) (List.length t.order.(set) - 1)
+
+  let access t addr =
+    let set, tag = locate t addr in
+    match find t set tag with
+    | Some w ->
+        touch t set w;
+        true
+    | None ->
+        let w = victim t set in
+        t.tags.(set).(w) <- tag;
+        touch t set w;
+        false
+
+  let probe t addr =
+    let set, tag = locate t addr in
+    find t set tag <> None
+
+  let invalidate t addr =
+    let set, tag = locate t addr in
+    match find t set tag with
+    | Some w ->
+        t.tags.(set).(w) <- -1;
+        true
+    | None -> false
+
+  let flush t =
+    Array.iter (fun a -> Array.fill a 0 t.assoc (-1)) t.tags;
+    Array.fill t.order 0 t.sets [];
+    Array.iter (fun a -> Array.fill a 0 (Array.length a) false) t.bits
+end
+
+type cache_op = Access of int | Probe of int | Invalidate of int | Flush
+
+let pp_cache_op = function
+  | Access a -> Printf.sprintf "access %#x" a
+  | Probe a -> Printf.sprintf "probe %#x" a
+  | Invalidate a -> Printf.sprintf "invalidate %#x" a
+  | Flush -> "flush"
+
+(* Streams over a few dozen lines (so sets fill and evict), biased towards
+   repeating the previous address or another byte of its line — a touch
+   of the most recent line, which must leave the replacement order as it
+   is — with invalidations of that line and flushes in between. *)
+let gen_cache_ops =
+  let open QCheck.Gen in
+  let line = map (fun l -> l * 64) (int_bound 47) in
+  let step prev =
+    frequency
+      [
+        (5, map (fun a -> Access a) line);
+        (4, return (Access prev));
+        (2, map (fun off -> Access ((prev land lnot 63) + off)) (int_bound 63));
+        (1, map (fun a -> Probe a) line);
+        (1, return (Invalidate prev));
+        (1, map (fun a -> Invalidate a) line);
+        (1, return Flush);
+      ]
+  in
+  let rec go n prev acc =
+    if n = 0 then return (List.rev acc)
+    else
+      step prev >>= fun op ->
+      let prev = match op with Access a | Probe a | Invalidate a -> a | Flush -> prev in
+      go (n - 1) prev (op :: acc)
+  in
+  int_range 50 400 >>= fun n -> go n 0 []
+
+let cache_geometries =
+  [
+    (Cache.Lru, 128, 2); (Cache.Lru, 1024, 2); (Cache.Lru, 2048, 4); (Cache.Lru, 768, 12);
+    (Cache.Plru, 256, 4); (Cache.Plru, 2048, 8); (Cache.Plru, 1024, 2); (Cache.Plru, 768, 12);
+  ]
+
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"cache = reference model (LRU/PLRU, MRU repeats)" ~count:40
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_cache_op ops)) gen_cache_ops)
+    (fun ops ->
+      List.for_all
+        (fun (replacement, size_bytes, assoc) ->
+          let c = Cache.create ~replacement ~size_bytes ~assoc () in
+          let r =
+            Ref_cache.create ~plru:(replacement = Cache.Plru) ~sets:(Cache.sets c) ~assoc
+          in
+          let hit = ref false in
+          List.for_all
+            (fun op ->
+              match op with
+              | Access a ->
+                  Cache.access c a ~hit;
+                  !hit = Ref_cache.access r a
+              | Probe a -> Cache.probe c a = Ref_cache.probe r a
+              | Invalidate a -> Cache.invalidate c a = Ref_cache.invalidate r a
+              | Flush ->
+                  Cache.flush c;
+                  Ref_cache.flush r;
+                  true)
+            ops)
+        cache_geometries)
+
+(* {1 Golden pins}
+
+   Exact counters recorded before the allocation-free rework of the core
+   model, caches, TLBs and RNG: the rework must leave every integer
+   counter, and every bit of every float slot, unchanged. *)
+
+let counter_ints (c : Counters.t) =
+  Counters.
+    [
+      c.insts; c.uops; c.branches; c.mispredicts; c.btb_misses; c.itlb_misses; c.dtlb_misses;
+      c.l1i_accesses; c.l1i_misses; c.l1d_accesses; c.l1d_misses; c.l2_accesses; c.l2_misses;
+      c.llc_accesses; c.llc_misses; c.coherence_misses; c.bytes_read; c.bytes_written;
+    ]
+
+let slot_bits (c : Counters.t) =
+  List.map Int64.bits_of_float Counters.[ c.s.cycles; c.s.retiring; c.s.frontend; c.s.bad_spec; c.s.backend ]
+
+let test_golden_redis_run () =
+  let open Ditto_app in
+  let app = Ditto_apps.Redis.spec () in
+  let cfg = Runner.config ~requests:40 ~seed:11 Platform.a in
+  let load = Service.load ~qps:15000.0 ~open_loop:false ~duration:0.15 () in
+  let out = Runner.run cfg ~load app in
+  let c = (List.assoc "redis" out.Runner.measured).Measure.counters in
+  Alcotest.(check (list int)) "counter ints"
+    [ 137480; 164560; 22240; 1899; 2772; 0; 220; 7480; 320; 41320; 6274; 6594; 1655; 1655;
+      1655; 0; 192000; 138560 ]
+    (counter_ints c);
+  Alcotest.(check (list int64)) "slot bits"
+    [ 0x410c116800000000L; 0x4104168000000000L; 0x40f932c000000000L; 0x40ff101000000000L;
+      0x411a0b2c00000000L ]
+    (slot_bits c);
+  let e = out.Runner.end_to_end in
+  Alcotest.(check (list int64)) "end-to-end latency bits"
+    [ 0x3f06f6beb5fa8d9eL; 0x3f06d7d7bf309800L; 0x3f08929096021899L ]
+    (List.map Int64.bits_of_float Ditto_util.Stats.[ e.mean; e.p50; e.p99 ])
+
+(* Two cores sharing a hierarchy, one at half issue width, running every
+   instruction class: random, strided and pointer-chasing loads, stores,
+   locked RMWs on shared lines, string copies, dividers, conditional and
+   unconditional control flow, over enough code to miss in the i-cache. *)
+let test_golden_mixed_cores () =
+  let mem = Memory.create Platform.a ~ncores:2 in
+  let heap = Block.make_region ~base:0x1000_0000 ~bytes:(1 lsl 24) ~shared:false in
+  let shr = Block.make_region ~base:0x4000_0000 ~bytes:(1 lsl 16) ~shared:true in
+  let t = Block.temp and f = Iform.by_name in
+  let temps salt =
+    List.concat
+      (List.init 48 (fun i ->
+           [
+             t (f "ADD_GPR64_GPR64") ~dst:(i mod 8) ~srcs:[| (i + 1) mod 8 |];
+             t (f "MOV_GPR64_MEM") ~dst:((i + 2) mod 8) ~srcs:[| 9 |]
+               ~mem:(Block.Rand_uniform { region = heap; start = 0; span = 1 lsl 22 });
+             t (f "MOV_GPR64_MEM") ~dst:11 ~srcs:[| 11 |]
+               ~mem:(Block.Chase { region = heap; start = 1 lsl 23; span = 1 lsl 22 });
+             t (f "MOV_MEM_GPR64") ~srcs:[| 3 |]
+               ~mem:
+                 (Block.Seq_stride
+                    { region = heap; start = salt * 4096; stride = 64; span = 1 lsl 20 });
+             t (f "JNZ_REL")
+               ~branch:{ Block.m = 1 + (i mod 3); n = 2 + (i mod 4); invert = i mod 2 = 0 };
+             t (f (if i mod 7 = 0 then "IDIV_GPR64" else "IMUL_GPR64_GPR64")) ~dst:4 ~srcs:[| 4; 5 |];
+             t (f "LOCK_ADD_MEM_GPR64") ~srcs:[| 6 |]
+               ~mem:(Block.Fixed_offset { region = shr; offset = 64 * (i mod 16) });
+             t (f "MOV_GPR64_MEM") ~dst:7 ~srcs:[| 8 |]
+               ~mem:(Block.Rand_uniform { region = shr; start = 0; span = 1 lsl 12 });
+             t (f (if i mod 5 = 0 then "REP_MOVSB" else "DIVSD_XMM_XMM"))
+               ~dst:(16 + (i mod 4)) ~srcs:[| 17 |] ~rep_count:512
+               ~mem:
+                 (Block.Seq_stride
+                    { region = heap; start = 1 lsl 22; stride = 128; span = 1 lsl 18 });
+             t
+               (f
+                  (match i mod 4 with
+                  | 0 -> "CALL_REL"
+                  | 1 -> "RET_NEAR"
+                  | 2 -> "JMP_REL"
+                  | _ -> "PSHUFB_XMM_XMM"));
+           ]))
+  in
+  let b0 = Block.make ~label:"m0" ~code_base:0x40_0000 (temps 0) in
+  let b1 = Block.make ~label:"m1" ~code_base:0x80_0000 (temps 1) in
+  let c0 = Core_model.create mem ~core:0 and c1 = Core_model.create mem ~core:1 in
+  let rng = Rng.create 7 in
+  Core_model.set_width_factor c1 0.5;
+  for _ = 1 to 20 do
+    Core_model.exec_block c0 ~rng b0 ~iterations:3;
+    Core_model.exec_block c1 ~rng b1 ~iterations:2;
+    Core_model.drain c0
+  done;
+  let check name core ints slots =
+    let c = Core_model.counters core in
+    Alcotest.(check (list int)) (name ^ " counter ints") ints (counter_ints c);
+    Alcotest.(check (list int64)) (name ^ " slot bits") slots (slot_bits c);
+    Alcotest.(check int64) (name ^ " clock bits") (List.hd slots)
+      (Int64.bits_of_float (Core_model.now core))
+  in
+  check "core 0"
+    c0
+    [ 28800; 63180; 5040; 537; 82; 1; 2341; 1680; 28; 29160; 6520; 6548; 6384; 6384; 6031;
+      304; 148800; 84480 ]
+    [ 0x4122239580000000L; 0x40eed98000000000L; 0x40d6eb8000000000L; 0x40e1916000000000L;
+      0x41410bed80000000L ];
+  check "core 1"
+    c1
+    [ 19200; 42120; 3360; 438; 81; 1; 1840; 1120; 28; 19440; 4485; 4513; 4347; 4347; 3769;
+      320; 99200; 56320 ]
+    [ 0x41182b0599999997L; 0x40e4910000000000L; 0x40c6c98000000000L; 0x40cc3b0000000000L;
+      0x41260bef33333330L ]
+
+(* {1 Allocation guard} *)
+
+(* Minor-heap words allocated per simulated instruction by warm
+   [exec_block] calls. The per-instruction path must not allocate; the
+   small bound absorbs the per-call constant. *)
+let minor_words_per_inst temps =
+  let mem = Memory.create Platform.a ~ncores:1 in
+  let core = Core_model.create mem ~core:0 in
+  let b = Block.make ~label:"alloc" ~code_base:0x10_0000 temps in
+  let rng = Rng.create 3 in
+  Core_model.exec_block core ~rng b ~iterations:200;
+  let iterations = 2000 in
+  let before = Gc.minor_words () in
+  Core_model.exec_block core ~rng b ~iterations;
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (iterations * List.length temps)
+
+let test_exec_block_allocation_free () =
+  let alu =
+    List.init 16 (fun i ->
+        Block.temp (Iform.by_name "ADD_GPR64_GPR64") ~dst:(i mod 8) ~srcs:[| (i + 1) mod 8 |])
+  in
+  let load =
+    List.init 16 (fun i ->
+        Block.temp (Iform.by_name "MOV_GPR64_MEM") ~dst:(i mod 8) ~srcs:[| 9 |]
+          ~mem:
+            (if i mod 2 = 0 then Block.Rand_uniform { region = heap; start = 0; span = 1 lsl 22 }
+             else Block.Seq_stride { region = heap; start = 0; stride = 64; span = 1 lsl 20 }))
+  in
+  let branch =
+    List.init 16 (fun i ->
+        if i mod 2 = 0 then
+          Block.temp (Iform.by_name "JNZ_REL") ~branch:{ Block.m = 1 + (i mod 3); n = 2; invert = false }
+        else Block.temp (Iform.by_name "CMP_GPR64_IMM") ~srcs:[| i mod 8 |])
+  in
+  List.iter
+    (fun (name, temps) ->
+      let w = minor_words_per_inst temps in
+      if w > 0.05 then Alcotest.failf "%s block: %.3f minor words per instruction (> 0.05)" name w)
+    [ ("alu", alu); ("load", load); ("branch", branch) ]
+
 let () =
   Alcotest.run "uarch"
     [
@@ -374,6 +685,8 @@ let () =
           Alcotest.test_case "invalidate/probe" `Quick test_cache_invalidate_probe;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "plru" `Quick test_cache_plru;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20231 |])
+            prop_cache_matches_reference;
         ] );
       ( "branch_pred",
         [
@@ -418,5 +731,11 @@ let () =
           Alcotest.test_case "width factor" `Quick test_core_width_factor;
           Alcotest.test_case "rep scaling" `Quick test_core_rep_string_scales;
           Alcotest.test_case "topdown backend" `Quick test_core_topdown_accumulates;
+          Alcotest.test_case "allocation-free exec" `Quick test_exec_block_allocation_free;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "redis run counters" `Quick test_golden_redis_run;
+          Alcotest.test_case "mixed two-core counters" `Quick test_golden_mixed_cores;
         ] );
     ]

@@ -30,6 +30,38 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
 
+(* Golden pins: the first draws of [Rng.create 42], recorded before the
+   generator's state moved from an [int64] field to raw bytes. Every
+   simulated counter descends from these streams, so any change here
+   changes every result. *)
+let test_rng_golden () =
+  let r = Rng.create 42 in
+  let draws n f = List.init n (fun _ -> f ()) in
+  Alcotest.(check (list int64)) "bits64"
+    [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0xc4b6b24ef01890eL ]
+    (draws 4 (fun () -> Rng.bits64 r));
+  Alcotest.(check (list int)) "int"
+    [ 396095; 776037; 541850; 662874; 941886; 12692 ]
+    (draws 6 (fun () -> Rng.int r 1_000_003));
+  Alcotest.(check (list int64)) "float bits"
+    [ 0x3fe87656a3f8c3d9L; 0x3fec5be13f199e4dL; 0x3feccc9f62cda7b8L; 0x3fb494766cf71b60L ]
+    (draws 4 (fun () -> Int64.bits_of_float (Rng.float r 1.0)));
+  Alcotest.(check (list bool)) "bool"
+    [ false; true; true; true; false; true; true; true;
+      false; true; true; false; false; false; false; false ]
+    (draws 16 (fun () -> Rng.bool r));
+  let child = Rng.split r in
+  Alcotest.(check (list int64)) "split child"
+    [ 0x3511980cd001fe1bL; 0x473b3fab3351529eL; 0x866dd3d3ce5bc76dL ]
+    (draws 3 (fun () -> Rng.bits64 child));
+  Alcotest.(check (list int64)) "split parent"
+    [ 0x92c6c2e1375c96acL; 0x326a884f2f1dac39L; 0x5e67829d4e432baeL ]
+    (draws 3 (fun () -> Rng.bits64 r));
+  let c = Rng.copy child in
+  Alcotest.(check (list int64)) "copy"
+    [ 0x3c6da29f581e1b18L; 0x8acb2a7432fe87a6L ]
+    (draws 2 (fun () -> Rng.bits64 c))
+
 let test_rng_range () =
   let rng = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -408,6 +440,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden;
           Alcotest.test_case "range" `Quick test_rng_range;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
