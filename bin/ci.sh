@@ -7,8 +7,9 @@
 # telemetry + transient-fidelity scorecard + OpenMetrics export), a
 # critpath smoke (request-level critical-path tracing + divergence
 # attribution + Jaeger round-trip), a surge smoke (flash-crowd overload
-# with autoscaling and admission control fired on both sides), and the
-# fidelity regression gate
+# with autoscaling and admission control fired on both sides), a traced
+# surge-memcached perfbench run (its output and determinism checks), and
+# the fidelity regression gate
 # (scorecards diffed against the committed baseline, plus a proof that
 # the gate rejects a perturbed baseline).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
@@ -185,6 +186,15 @@ if ! grep -Eq 'reconverge_ms=[1-9][0-9]*' "$surge_log"; then
   echo "ci: FAIL — reconvergence time not strictly positive under the surge" >&2
   exit 1
 fi
+
+echo "== perfbench surge (shed/autoscale output checks + traced determinism) =="
+# The surge-memcached benchmark workload, traced: its output checks
+# (shedding fired, scale events within [1, 4] replicas) and its check that
+# the untraced and traced runs of one seed agree exactly on fidelity and
+# simulated counts must pass, or run.py exits non-zero. run.py refuses to
+# start while DITTO_DOMAINS or DITTO_MEMO is set, so both are unset here.
+env -u DITTO_DOMAINS -u DITTO_MEMO python3 perfbench/run.py --workload surge-memcached \
+  --seed 1 --seconds 10 --trace 1
 
 echo "== scorecard regression gate (vs bench/baselines/default.json) =="
 bench_json="$tmpdir/bench.json"

@@ -1,13 +1,17 @@
-type t = {
+type node = {
   uid : int;
   engine : Ditto_sim.Engine.t;
-  platform : Ditto_uarch.Platform.t;
-  mem : Ditto_uarch.Memory.t;
-  cores : Ditto_uarch.Core_model.t array;
   sched : Ditto_os.Sched.t;
   nic : Ditto_net.Nic.t;
   loopback : Ditto_net.Nic.t;
   disk : Ditto_storage.Disk.t;
+}
+
+type t = {
+  node : node;
+  platform : Ditto_uarch.Platform.t;
+  mem : Ditto_uarch.Memory.t;
+  cores : Ditto_uarch.Core_model.t array;
   page_cache : Ditto_os.Page_cache.t;
 }
 
@@ -18,8 +22,8 @@ type t = {
    (platform, ncores)) and recycled by [create] after a [reset] restores
    the pristine post-create state — results stay bit-identical because
    reset is exhaustive, which the test suite pins. The engine-bearing
-   components (scheduler, NICs, disk, page cache) are cheap and tied to
-   the per-run engine, so they are always rebuilt. *)
+   serving node (scheduler, NICs, disk) and the page cache are cheap and
+   tied to the per-run engine, so they are always rebuilt. *)
 type pooled = Ditto_uarch.Memory.t * Ditto_uarch.Core_model.t array
 
 let pool_key : (Ditto_uarch.Platform.t * int, pooled list ref) Hashtbl.t Domain.DLS.key =
@@ -31,6 +35,17 @@ let max_pooled_per_key = 4
    tier-to-machine routing) instead of scanning lists under physical
    equality, which is what made teardown O(tiers^2) on wide graphs. *)
 let next_uid = Atomic.make 0
+
+let node ?cores engine (platform : Ditto_uarch.Platform.t) =
+  let ncores = match cores with Some n -> n | None -> platform.Ditto_uarch.Platform.cores in
+  {
+    uid = Atomic.fetch_and_add next_uid 1;
+    engine;
+    sched = Ditto_os.Sched.create engine ~ncores ();
+    nic = Ditto_net.Nic.create engine ~gbps:platform.Ditto_uarch.Platform.net_gbps;
+    loopback = Ditto_net.Nic.create engine ~gbps:400.0;
+    disk = Ditto_storage.Disk.create engine platform.Ditto_uarch.Platform.disk;
+  }
 
 let create ?page_cache_bytes ?cores engine (platform : Ditto_uarch.Platform.t) =
   let ncores = match cores with Some n -> n | None -> platform.Ditto_uarch.Platform.cores in
@@ -52,15 +67,10 @@ let create ?page_cache_bytes ?cores engine (platform : Ditto_uarch.Platform.t) =
     | None -> platform.Ditto_uarch.Platform.ram_gb * 1024 * 1024 * 1024 / 4
   in
   {
-    uid = Atomic.fetch_and_add next_uid 1;
-    engine;
+    node = node ~cores:ncores engine platform;
     platform;
     mem;
     cores;
-    sched = Ditto_os.Sched.create engine ~ncores ();
-    nic = Ditto_net.Nic.create engine ~gbps:platform.Ditto_uarch.Platform.net_gbps;
-    loopback = Ditto_net.Nic.create engine ~gbps:400.0;
-    disk = Ditto_storage.Disk.create engine platform.Ditto_uarch.Platform.disk;
     page_cache = Ditto_os.Page_cache.create ~capacity_bytes:page_cache_bytes;
   }
 

@@ -158,11 +158,11 @@ let run_inner cfg ~load (app : Spec.t) =
     (fun (t : Spec.tier) ->
       let m = placement t.Spec.tier_name in
       let cell =
-        match Hashtbl.find_opt hosted_by_machine m.Machine.uid with
+        match Hashtbl.find_opt hosted_by_machine m.Machine.node.Machine.uid with
         | Some c -> c
         | None ->
             let c = ref [] in
-            Hashtbl.add hosted_by_machine m.Machine.uid c;
+            Hashtbl.add hosted_by_machine m.Machine.node.Machine.uid c;
             c
       in
       cell := (t, Hashtbl.find space_tbl t.Spec.tier_name) :: !cell)
@@ -213,7 +213,7 @@ let run_inner cfg ~load (app : Spec.t) =
         List.concat_map
           (fun m ->
             let hosted =
-              match Hashtbl.find_opt hosted_by_machine m.Machine.uid with
+              match Hashtbl.find_opt hosted_by_machine m.Machine.node.Machine.uid with
               | Some cell -> List.rev !cell
               | None -> []
             in

@@ -62,29 +62,28 @@ type result = {
           {!Ditto_obs.Reqtrace} was enabled when the run started *)
 }
 
-(* One horizontally-scaled copy of a tier beyond the built-in primary: its
-   own machine (fresh cores/NIC/disk) plus the per-server-model connection
-   state. Deactivated replicas drain their attached connections but take
-   no new ones, and are reactivated before any new machine is created. *)
+(* One serving copy of a tier: the primary, on the machine the tier was
+   placed on, or an autoscaled replica on a fresh serving node of its own
+   (scheduler, NIC, disk; no microarchitectural state, since serving only
+   replays measured traces), plus the per-server-model connection state.
+   Deactivated replicas drain their attached connections but take no new
+   ones, and are reactivated before any new node is created. *)
 type replica = {
-  rep_id : int;
-  rep_machine : Machine.t;
-  rep_epolls : Socket.Epoll.t array;
-  mutable rep_epoll_rr : int;
-  mutable rep_poll_conns : Socket.endpoint list;
-  mutable rep_active : bool;
-  rep_nic0 : int;  (* NIC odometer at creation, for teardown bandwidth *)
-  rep_disk0 : int;
+  node : Machine.node;
+  epolls : Socket.Epoll.t array;
+  mutable epoll_rr : int;
+  mutable poll_conns : Socket.endpoint list;
+  mutable active : bool;
 }
 
 type tier_rt = {
   spec : Spec.tier;
   machine : Machine.t;
+  fault : Injector.tier option;  (* resolved once per run; [None] without a plan *)
   mres : Measure.tier_result;
   rng : Rng.t;
-  epolls : Socket.Epoll.t array;
-  mutable epoll_rr : int;
-  mutable poll_conns : Socket.endpoint list;
+  primary : replica;
+  depth : Socket.Depth.t;  (* queued messages on every attached server endpoint *)
   pools : (string, Socket.endpoint Queue.t) Hashtbl.t;
   breakers : (string, Breaker.t) Hashtbl.t;
   lat : Stats.t;
@@ -95,7 +94,7 @@ type tier_rt = {
   mutable shed : int;
   mutable failures : int;
   mutable degraded : int;
-  mutable replicas : replica list;  (* creation order; [] when autoscaling off *)
+  mutable replicas : replica list;  (* scaled-out copies, creation order *)
   mutable rep_rr : int;  (* round-robin cursor over primary + active replicas *)
   mutable stopped : bool;
 }
@@ -130,10 +129,8 @@ let down_poll = 1e-3
    full response payload. *)
 let err_bytes = 64
 
-let tier_down sys rt =
-  match sys.inj with
-  | None -> false
-  | Some inj -> not (Injector.tier_up inj rt.spec.Spec.tier_name)
+let tier_down rt =
+  match rt.fault with None -> false | Some f -> not (Injector.tier_up f)
 
 let ts_counter sys rt c =
   match sys.tl with
@@ -158,15 +155,11 @@ let rq_server_end sys span ?bytes outcome =
   | Some c when span <> 0 -> Rq.server_end c ~span ?bytes ~at:(Engine.time ()) outcome
   | _ -> ()
 
-(* [mach] is the machine serving the current request: the tier's primary,
+(* [mach] is the node serving the current request: the tier's primary,
    or a replica's when the autoscaler routed the connection there. With
-   autoscaling off it is always [rt.machine]. *)
+   autoscaling off it is always the primary's node. *)
 let run_cpu sys rt ~tid ~mach s =
-  let s =
-    match sys.inj with
-    | None -> s
-    | Some inj -> s *. Injector.slow_factor inj rt.spec.Spec.tier_name
-  in
+  let s = match rt.fault with None -> s | Some f -> s *. Injector.slow_factor f in
   (match sys.tl with
   | None -> ()
   | Some ts ->
@@ -174,60 +167,41 @@ let run_cpu sys rt ~tid ~mach s =
         ~seconds:s);
   Ditto_os.Sched.run_oncpu mach.Machine.sched ~thread:tid s
 
-(* Accept-queue depth for load shedding: undelivered messages plus requests
-   already being replayed, summed over the primary and every replica. *)
+(* Accept-queue depth for load shedding: requests already being replayed
+   plus undelivered messages on every server endpoint of the primary and
+   the replicas, which all report to [rt.depth] (endpoints are never
+   detached, so the counter is that sum exactly). The blocking model
+   counts [inflight] only; its endpoints report to the counter too, which
+   it ignores. *)
 let backlog rt =
-  let base =
-    match rt.spec.Spec.server_model with
-    | Spec.Io_multiplexing ->
-        Array.fold_left (fun acc e -> acc + Socket.Epoll.pending_total e) rt.inflight rt.epolls
-    | Spec.Nonblocking ->
-        List.fold_left (fun acc ep -> acc + Socket.pending ep) rt.inflight rt.poll_conns
-    | Spec.Blocking -> rt.inflight
-  in
-  match rt.replicas with
-  | [] -> base
-  | reps ->
-      List.fold_left
-        (fun acc rep ->
-          match rt.spec.Spec.server_model with
-          | Spec.Io_multiplexing ->
-              Array.fold_left (fun a e -> a + Socket.Epoll.pending_total e) acc rep.rep_epolls
-          | Spec.Nonblocking ->
-              List.fold_left (fun a ep -> a + Socket.pending ep) acc rep.rep_poll_conns
-          | Spec.Blocking -> acc)
-        base reps
+  match rt.spec.Spec.server_model with
+  | Spec.Io_multiplexing | Spec.Nonblocking -> rt.inflight + Socket.Depth.get rt.depth
+  | Spec.Blocking -> rt.inflight
 
 (* Live serving capacity: the primary plus active replicas. The shed and
    degradation thresholds scale with it — the bounded accept queue is a
    per-replica resource. *)
 let replica_count rt =
-  1 + List.fold_left (fun acc r -> if r.rep_active then acc + 1 else acc) 0 rt.replicas
-
-type slot = Primary | Rep of replica
-
-let slot_machine rt = function Primary -> rt.machine | Rep r -> r.rep_machine
+  1 + List.fold_left (fun acc r -> if r.active then acc + 1 else acc) 0 rt.replicas
 
 (* Replica-aware routing: new connections round-robin over the primary and
-   the active replicas. With no replicas this is branch-free [Primary] and
-   the cursor is never touched, keeping the disabled path identical. *)
-let pick_slot rt =
+   the active replicas. With no replicas this is branch-free and the
+   cursor is never touched, keeping the disabled path identical. *)
+let pick_replica rt =
   match rt.replicas with
-  | [] -> Primary
+  | [] -> rt.primary
   | reps ->
-      let slots =
-        Primary :: List.filter_map (fun r -> if r.rep_active then Some (Rep r) else None) reps
-      in
-      let k = rt.rep_rr mod List.length slots in
+      let live = rt.primary :: List.filter (fun r -> r.active) reps in
+      let k = rt.rep_rr mod List.length live in
       rt.rep_rr <- rt.rep_rr + 1;
-      List.nth slots k
+      List.nth live k
 
 (* Serve one request whose bytes arrived at [arrived]: replay a measured
    trace (CPU, disk, sleeps, downstream RPCs) then send the response — or
    shed it when the resilience knobs say the tier is overloaded, or serve
    it degraded when utilization crossed the degradation threshold. *)
 let rec handle sys rt ~tid ~mach ep ~arrived ~meta ~bytes =
-  if tier_down sys rt then (* the process died with the request in hand *) ()
+  if tier_down rt then (* the process died with the request in hand *) ()
   else
     (* [meta] is the sender's RPC span id when this request is sampled;
        the server span's queue segment is [arrived, now). *)
@@ -437,8 +411,8 @@ and downstream sys rt ~tid ~mach ~span target req_bytes _resp_bytes =
 and connect sys rt ~mach drt =
   (* Pick the destination replica first: the socket pair must land on the
      machine whose NIC will carry the bytes. *)
-  let slot = pick_slot drt in
-  let dmach = slot_machine drt slot in
+  let dst = pick_replica drt in
+  let dmach = dst.node in
   let same = mach == dmach in
   let a_nic = if same then mach.Machine.loopback else mach.Machine.nic in
   let b_nic = if same then dmach.Machine.loopback else dmach.Machine.nic in
@@ -450,32 +424,27 @@ and connect sys rt ~mach drt =
       let src = rt.spec.Spec.tier_name and dst = drt.spec.Spec.tier_name in
       Socket.set_disruptor client_ep (Some (Injector.disruptor inj ~src ~dst));
       Socket.set_disruptor server_ep (Some (Injector.disruptor inj ~src:dst ~dst:src)));
-  attach_slot sys drt slot server_ep;
+  attach sys drt dst server_ep;
   client_ep
 
-(* Register a new inbound connection according to the server's network and
-   thread model, on the routing slot chosen by [pick_slot]. *)
-and attach_slot sys rt slot ep =
-  match (rt.spec.Spec.server_model, slot) with
-  | Spec.Io_multiplexing, Primary ->
-      Socket.Epoll.add rt.epolls.(rt.epoll_rr mod Array.length rt.epolls) ep;
-      rt.epoll_rr <- rt.epoll_rr + 1
-  | Spec.Io_multiplexing, Rep r ->
-      Socket.Epoll.add r.rep_epolls.(r.rep_epoll_rr mod Array.length r.rep_epolls) ep;
-      r.rep_epoll_rr <- r.rep_epoll_rr + 1
-  | Spec.Blocking, _ ->
+(* Register a new inbound connection on the replica chosen by
+   [pick_replica], according to the server's network and thread model. *)
+and attach sys rt r ep =
+  Socket.Depth.attach rt.depth ep;
+  match rt.spec.Spec.server_model with
+  | Spec.Io_multiplexing ->
+      Socket.Epoll.add r.epolls.(r.epoll_rr mod Array.length r.epolls) ep;
+      r.epoll_rr <- r.epoll_rr + 1
+  | Spec.Blocking ->
       (* Thread-per-connection (spawned dynamically for services like
          MongoDB whose thread count follows the connection count). *)
       let tid = fresh_tid sys.tids in
-      let mach = slot_machine rt slot in
-      Engine.fork (fun () -> blocking_loop sys rt ~tid ~mach ep)
-  | Spec.Nonblocking, Primary -> rt.poll_conns <- ep :: rt.poll_conns
-  | Spec.Nonblocking, Rep r -> r.rep_poll_conns <- ep :: r.rep_poll_conns
-
+      Engine.fork (fun () -> blocking_loop sys rt ~tid ~mach:r.node ep)
+  | Spec.Nonblocking -> r.poll_conns <- ep :: r.poll_conns
 
 and blocking_loop sys rt ~tid ~mach ep =
   if not rt.stopped then
-    if tier_down sys rt then begin
+    if tier_down rt then begin
       Engine.wait down_poll;
       blocking_loop sys rt ~tid ~mach ep
     end
@@ -491,7 +460,7 @@ and blocking_loop sys rt ~tid ~mach ep =
 let epoll_worker sys rt ~tid ~mach epoll =
   let rec loop () =
     if not rt.stopped then
-      if tier_down sys rt then begin
+      if tier_down rt then begin
         Engine.wait down_poll;
         loop ()
       end
@@ -504,7 +473,7 @@ let epoll_worker sys rt ~tid ~mach epoll =
                 let rec drain () =
                   (* Stop draining the instant the tier crashes: queued
                      requests must survive to be the restart's backlog. *)
-                  if not (tier_down sys rt) then
+                  if not (tier_down rt) then
                     match Socket.try_recv_msg ep with
                     | Some m ->
                         handle sys rt ~tid ~mach ep ~arrived:m.Socket.arrived
@@ -518,11 +487,12 @@ let epoll_worker sys rt ~tid ~mach epoll =
   in
   loop ()
 
-let nonblocking_worker sys rt ~tid ~mach ~conns =
+let nonblocking_worker sys rt ~tid r =
+  let mach = r.node in
   let poll_interval = 20e-6 and poll_cpu = 1.5e-6 in
   let rec loop () =
     if not rt.stopped then
-      if tier_down sys rt then begin
+      if tier_down rt then begin
         Engine.wait down_poll;
         loop ()
       end
@@ -536,7 +506,7 @@ let nonblocking_worker sys rt ~tid ~mach ~conns =
                 handle sys rt ~tid ~mach ep ~arrived:m.Socket.arrived ~meta:m.Socket.meta
                   ~bytes:m.Socket.bytes
             | None -> ())
-          (conns ());
+          r.poll_conns;
         (* Polling burns CPU even when idle — the §4.3.1 caveat. *)
         run_cpu sys rt ~tid ~mach poll_cpu;
         if not !got then Engine.wait poll_interval;
@@ -549,15 +519,15 @@ let background_thread sys rt ~tid period trace =
   let rec loop () =
     if not rt.stopped then begin
       Engine.wait period;
-      if not (tier_down sys rt) then
+      if not (tier_down rt) then
         List.iter
           (fun seg ->
             match seg with
-            | Measure.Cpu s -> run_cpu sys rt ~tid ~mach:rt.machine s
+            | Measure.Cpu s -> run_cpu sys rt ~tid ~mach:rt.primary.node s
             | Measure.Disk_read { bytes; random } ->
-                Ditto_storage.Disk.read rt.machine.Machine.disk ~bytes ~random
+                Ditto_storage.Disk.read rt.primary.node.Machine.disk ~bytes ~random
             | Measure.Disk_write { bytes } ->
-                Engine.fork (fun () -> Ditto_storage.Disk.write rt.machine.Machine.disk ~bytes)
+                Engine.fork (fun () -> Ditto_storage.Disk.write rt.primary.node.Machine.disk ~bytes)
             | Measure.Sleep s -> Engine.wait s
             | Measure.Downstream _ -> ())
           trace;
@@ -568,57 +538,60 @@ let background_thread sys rt ~tid period trace =
 
 (* --- Horizontal autoscaling ------------------------------------------ *)
 
+(* A serving copy of the tier on [node]; only the epoll model needs epolls
+   (one per worker). *)
+let replica_on (spec : Spec.tier) node =
+  let nepolls =
+    match spec.Spec.server_model with
+    | Spec.Io_multiplexing -> max 1 spec.Spec.thread_model.Spec.workers
+    | Spec.Nonblocking | Spec.Blocking -> 0
+  in
+  {
+    node;
+    epolls = Array.init nepolls (fun _ -> Socket.Epoll.create ());
+    epoll_rr = 0;
+    poll_conns = [];
+    active = true;
+  }
+
+(* The replica's worker set: one worker per epoll, or the configured
+   number of polling workers. [spawn] is [Engine.spawn engine] at setup
+   time and [Engine.fork] from inside the controller process. *)
+let spawn_workers sys rt ~spawn r =
+  match rt.spec.Spec.server_model with
+  | Spec.Io_multiplexing ->
+      Array.iter
+        (fun epoll ->
+          let tid = fresh_tid sys.tids in
+          spawn (fun () -> epoll_worker sys rt ~tid ~mach:r.node epoll))
+        r.epolls
+  | Spec.Nonblocking ->
+      for _ = 1 to max 1 rt.spec.Spec.thread_model.Spec.workers do
+        let tid = fresh_tid sys.tids in
+        spawn (fun () -> nonblocking_worker sys rt ~tid r)
+      done
+  | Spec.Blocking -> (* threads spawn per connection in [attach] *) ()
+
 (* Bring one more replica online: reactivate a drained one if available
-   (no machine churn), otherwise create a fresh machine mirroring the
-   primary's platform/core count and spawn its worker set. [spawn] is
-   [Engine.spawn engine] at setup time and [Engine.fork] from inside the
-   controller process. *)
+   (no node churn), otherwise create a fresh serving node mirroring the
+   primary's platform/core count and spawn its worker set. *)
 let scale_up_one sys rt ~spawn =
-  match List.find_opt (fun r -> not r.rep_active) rt.replicas with
-  | Some r -> r.rep_active <- true
+  match List.find_opt (fun r -> not r.active) rt.replicas with
+  | Some r -> r.active <- true
   | None ->
-      let mach =
-        Machine.create ~cores:(Machine.ncores rt.machine) rt.machine.Machine.engine
+      let node =
+        Machine.node ~cores:(Machine.ncores rt.machine) rt.primary.node.Machine.engine
           rt.machine.Machine.platform
       in
-      let workers = max 1 rt.spec.Spec.thread_model.Spec.workers in
-      let nepolls =
-        match rt.spec.Spec.server_model with Spec.Io_multiplexing -> workers | _ -> 0
-      in
-      let rep =
-        {
-          rep_id = List.length rt.replicas + 1;
-          rep_machine = mach;
-          rep_epolls = Array.init nepolls (fun _ -> Socket.Epoll.create ());
-          rep_epoll_rr = 0;
-          rep_poll_conns = [];
-          rep_active = true;
-          rep_nic0 = Nic.bytes_sent mach.Machine.nic + Nic.bytes_received mach.Machine.nic;
-          rep_disk0 =
-            Ditto_storage.Disk.bytes_read mach.Machine.disk
-            + Ditto_storage.Disk.bytes_written mach.Machine.disk;
-        }
-      in
-      rt.replicas <- rt.replicas @ [ rep ];
-      (match rt.spec.Spec.server_model with
-      | Spec.Io_multiplexing ->
-          Array.iter
-            (fun epoll ->
-              let tid = fresh_tid sys.tids in
-              spawn (fun () -> epoll_worker sys rt ~tid ~mach epoll))
-            rep.rep_epolls
-      | Spec.Nonblocking ->
-          for _ = 1 to workers do
-            let tid = fresh_tid sys.tids in
-            spawn (fun () -> nonblocking_worker sys rt ~tid ~mach ~conns:(fun () -> rep.rep_poll_conns))
-          done
-      | Spec.Blocking -> (* threads spawn per connection in [attach_slot] *) ())
+      let r = replica_on rt.spec node in
+      rt.replicas <- rt.replicas @ [ r ];
+      spawn_workers sys rt ~spawn r
 
 (* Drain the newest active replica: it stops taking new connections but
    keeps serving the ones it has. The primary never scales in. *)
 let scale_down_one rt =
-  match List.rev (List.filter (fun r -> r.rep_active) rt.replicas) with
-  | r :: _ -> r.rep_active <- false
+  match List.rev (List.filter (fun r -> r.active) rt.replicas) with
+  | r :: _ -> r.active <- false
   | [] -> ()
 
 let apply_scale sys rt ~spawn ~from_n ~to_n =
@@ -654,7 +627,7 @@ let autoscaler sys rt ~engine ~t_end (pol : Spec.autoscale) =
         Engine.wait pol.Spec.as_interval;
         let now = Engine.time () in
         if now < t_end && not rt.stopped then begin
-          (if not (tier_down sys rt) then begin
+          (if not (tier_down rt) then begin
              let n = replica_count rt in
              let q = float_of_int (backlog rt) /. float_of_int n in
              let err = (q -. pol.Spec.as_target_queue) /. pol.Spec.as_target_queue in
@@ -679,16 +652,10 @@ let autoscaler sys rt ~engine ~t_end (pol : Spec.autoscale) =
       in
       loop ())
 
-let dedupe_machines rts =
-  let seen = Hashtbl.create 16 in
-  List.fold_left
-    (fun acc rt ->
-      if Hashtbl.mem seen rt.machine.Machine.uid then acc
-      else begin
-        Hashtbl.add seen rt.machine.Machine.uid ();
-        rt.machine :: acc
-      end)
-    [] rts
+let odometers (m : Machine.node) =
+  ( Nic.bytes_sent m.Machine.nic + Nic.bytes_received m.Machine.nic,
+    Ditto_storage.Disk.bytes_read m.Machine.disk + Ditto_storage.Disk.bytes_written m.Machine.disk
+  )
 
 let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbps = 0.0)
     ?fault_plan l =
@@ -728,17 +695,16 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
   let rts =
     List.map
       (fun (tier : Spec.tier) ->
+        let machine = placement tier.Spec.tier_name in
         let rt =
           {
             spec = tier;
-            machine = placement tier.Spec.tier_name;
+            machine;
+            fault = Option.map (fun i -> Injector.tier i tier.Spec.tier_name) inj;
             mres = results tier.Spec.tier_name;
             rng = Rng.split root;
-            epolls =
-              Array.init (max 1 tier.Spec.thread_model.Spec.workers) (fun _ ->
-                  Socket.Epoll.create ());
-            epoll_rr = 0;
-            poll_conns = [];
+            primary = replica_on tier machine.Machine.node;
+            depth = Socket.Depth.create ();
             pools = Hashtbl.create 4;
             breakers = Hashtbl.create 4;
             lat = Stats.create ();
@@ -761,20 +727,7 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
   (* Spawn server workers. *)
   List.iter
     (fun rt ->
-      (match rt.spec.Spec.server_model with
-      | Spec.Io_multiplexing ->
-          Array.iter
-            (fun epoll ->
-              let tid = fresh_tid tids in
-              Engine.spawn engine (fun () -> epoll_worker sys rt ~tid ~mach:rt.machine epoll))
-            rt.epolls
-      | Spec.Nonblocking ->
-          for _ = 1 to max 1 rt.spec.Spec.thread_model.Spec.workers do
-            let tid = fresh_tid tids in
-            Engine.spawn engine (fun () ->
-                nonblocking_worker sys rt ~tid ~mach:rt.machine ~conns:(fun () -> rt.poll_conns))
-          done
-      | Spec.Blocking -> (* threads spawn per connection in [attach] *) ());
+      spawn_workers sys rt ~spawn:(Engine.spawn engine) rt.primary;
       match (rt.mres.Measure.background_trace, rt.spec.Spec.thread_model.Spec.background) with
       | Some trace, bgs ->
           List.iter
@@ -796,24 +749,21 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
           done)
     rts;
   let entry = Hashtbl.find registry app.Spec.entry in
-  let machines = dedupe_machines rts in
-  (* Pre-run NIC/disk odometers, keyed by machine uid so the teardown pass
-     below stays O(tiers) instead of re-scanning the machine list per tier. *)
-  let before : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  (* Pre-run NIC/disk odometers, keyed by node uid (colocated tiers share
+     an entry) so the teardown pass below stays O(tiers). *)
+  let before = Hashtbl.create 16 in
   List.iter
-    (fun m ->
-      Hashtbl.replace before m.Machine.uid
-        ( Nic.bytes_sent m.Machine.nic + Nic.bytes_received m.Machine.nic,
-          Ditto_storage.Disk.bytes_read m.Machine.disk
-          + Ditto_storage.Disk.bytes_written m.Machine.disk ))
-    machines;
+    (fun rt ->
+      let m = rt.primary.node in
+      Hashtbl.replace before m.Machine.uid (odometers m))
+    rts;
   (* Client connections (the load generator is its own machine). The entry
      replica is chosen per connection so surge scale-out spreads new and
      re-paired client connections across the live replica set. *)
   let client_nic = Nic.create engine ~gbps:40.0 in
   let client_pair () =
-    let slot = pick_slot entry in
-    let dmach = slot_machine entry slot in
+    let r = pick_replica entry in
+    let dmach = r.node in
     let a, b = Socket.pair engine ~a_nic:client_nic ~b_nic:dmach.Machine.nic ~latency:20e-6 in
     (match inj with
     | None -> ()
@@ -821,12 +771,12 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
         let dst = entry.spec.Spec.tier_name in
         Socket.set_disruptor a (Some (Injector.disruptor i ~src:Plan.client_tier ~dst));
         Socket.set_disruptor b (Some (Injector.disruptor i ~src:dst ~dst:Plan.client_tier)));
-    (a, b, slot)
+    (a, b, r)
   in
   let conns =
     Array.init (max 1 l.connections) (fun _ ->
-        let a, b, slot = client_pair () in
-        Engine.spawn engine (fun () -> attach_slot sys entry slot b);
+        let a, b, r = client_pair () in
+        Engine.spawn engine (fun () -> attach sys entry r b);
         (ref a, Engine.Resource.create 1))
   in
   (match inj with Some i -> Injector.arm i ~at:(Engine.now engine) | None -> ());
@@ -967,8 +917,8 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
                       rq_rpc_end sys rpc Rq.Timeout;
                       incr client_timeouts;
                       ts_client Ditto_obs.Timeseries.Timeouts;
-                      let a, b, slot = client_pair () in
-                      attach_slot sys entry slot b;
+                      let a, b, r = client_pair () in
+                      attach sys entry r b;
                       conn := a
                   | Some m ->
                       (* error response; the conn stays paired *)
@@ -1061,7 +1011,7 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
     Engine.spawn engine (fun () ->
         while Engine.time () < t_end do
           let t0 = Engine.time () in
-          Nic.transmit entry.machine.Machine.nic ~bytes:chunk;
+          Nic.transmit entry.primary.node.Machine.nic ~bytes:chunk;
           let used = Engine.time () -. t0 in
           if used < interval then Engine.wait (interval -. used)
         done)
@@ -1076,39 +1026,23 @@ let run ~engine ~(app : Spec.t) ~placement ~results ~seed ?(net_interference_gbp
   let tiers =
     List.map
       (fun rt ->
-        let m = rt.machine in
-        let nic_now = Nic.bytes_sent m.Machine.nic + Nic.bytes_received m.Machine.nic in
-        let disk_now =
-          Ditto_storage.Disk.bytes_read m.Machine.disk
-          + Ditto_storage.Disk.bytes_written m.Machine.disk
-        in
-        let nic_b, disk_b =
-          match Hashtbl.find_opt before m.Machine.uid with Some v -> v | None -> (0, 0)
-        in
-        (* Replicas carry their own machines; fold their odometers (relative
-           to the creation snapshot) into the tier's bandwidth totals. *)
-        let rep_nic, rep_disk =
+        let m = rt.primary.node in
+        let nic_b, disk_b = Hashtbl.find before m.Machine.uid in
+        (* Replicas are fresh nodes whose odometers started at zero: fold
+           their totals into the tier's bandwidth. *)
+        let nic_now, disk_now =
           List.fold_left
             (fun (n, d) r ->
-              let rm = r.rep_machine in
-              let rn =
-                Nic.bytes_sent rm.Machine.nic + Nic.bytes_received rm.Machine.nic - r.rep_nic0
-              in
-              let rd =
-                Ditto_storage.Disk.bytes_read rm.Machine.disk
-                + Ditto_storage.Disk.bytes_written rm.Machine.disk
-                - r.rep_disk0
-              in
+              let rn, rd = odometers r.node in
               (n + rn, d + rd))
-            (0, 0) rt.replicas
+            (odometers m) rt.replicas
         in
-        List.iter (fun r -> Machine.release r.rep_machine) rt.replicas;
         {
           obs_name = rt.spec.Spec.tier_name;
           obs_latency = Stats.summary rt.lat;
           obs_requests = rt.served;
-          obs_net_mbps = mbps nic_b (nic_now + rep_nic);
-          obs_disk_mbps = mbps disk_b (disk_now + rep_disk);
+          obs_net_mbps = mbps nic_b nic_now;
+          obs_disk_mbps = mbps disk_b disk_now;
           obs_timeouts = rt.timeouts;
           obs_retries = rt.retries;
           obs_shed = rt.shed;

@@ -1,7 +1,7 @@
 open Ditto_sim
 module Rng = Ditto_util.Rng
 
-type tier_state = {
+type tier = {
   mutable down : int;  (* nesting count of active crash windows *)
   mutable slow : float;  (* product of active slowdown factors *)
   mutable add_latency : float;  (* summed active link latencies *)
@@ -15,15 +15,13 @@ type t = {
   plan : Plan.t;
   engine : Engine.t;
   rng : Rng.t;
-  tiers : (string, tier_state) Hashtbl.t;
+  tiers : (string, tier) Hashtbl.t;
 }
 
 let create ~engine ~seed plan =
   { plan; engine; rng = Rng.create seed; tiers = Hashtbl.create 16 }
 
-let plan t = t.plan
-
-let state t name =
+let tier t name =
   match Hashtbl.find_opt t.tiers name with
   | Some s -> s
   | None ->
@@ -54,7 +52,7 @@ let remove_one x xs =
 let arm t ~at =
   List.iter
     (fun (e : Plan.event) ->
-      let s = state t e.tier in
+      let s = tier t e.tier in
       let start = at +. e.at in
       match e.kind with
       | Plan.Crash { down_for } ->
@@ -79,24 +77,24 @@ let arm t ~at =
               s.partitioned <- s.partitioned - 1))
     t.plan.Plan.events
 
-let tier_up t name = (state t name).down = 0
-let slow_factor t name = (state t name).slow
+let tier_up s = s.down = 0
+let slow_factor s = s.slow
 
-let disruptor t ~src ~dst ~bytes:_ =
-  let a = state t src and b = state t dst in
-  if a.partitioned > 0 || b.partitioned > 0 then begin
-    a.drops <- a.drops + 1;
-    Ditto_net.Socket.Drop
-  end
-  else
-    let p = 1.0 -. ((1.0 -. a.drop) *. (1.0 -. b.drop)) in
-    if p > 0.0 && Rng.float t.rng 1.0 < p then begin
+let disruptor t ~src ~dst =
+  let a = tier t src and b = tier t dst in
+  fun ~bytes:_ ->
+    if a.partitioned > 0 || b.partitioned > 0 then begin
       a.drops <- a.drops + 1;
       Ditto_net.Socket.Drop
     end
     else
-      let d = a.add_latency +. b.add_latency in
-      if d > 0.0 then Ditto_net.Socket.Delay d else Ditto_net.Socket.Deliver
+      let p = 1.0 -. ((1.0 -. a.drop) *. (1.0 -. b.drop)) in
+      if p > 0.0 && Rng.float t.rng 1.0 < p then begin
+        a.drops <- a.drops + 1;
+        Ditto_net.Socket.Drop
+      end
+      else
+        let d = a.add_latency +. b.add_latency in
+        if d > 0.0 then Ditto_net.Socket.Delay d else Ditto_net.Socket.Deliver
 
-let drops t name = (state t name).drops
-let total_drops t = Hashtbl.fold (fun _ s acc -> acc + s.drops) t.tiers 0
+let drops t name = (tier t name).drops

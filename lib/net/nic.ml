@@ -24,8 +24,4 @@ let note_received t ~bytes = t.bytes_received <- t.bytes_received + bytes
 let bytes_sent t = t.bytes_sent
 let bytes_received t = t.bytes_received
 
-let reset_stats t =
-  t.bytes_sent <- 0;
-  t.bytes_received <- 0
-
 let gbps t = t.gbps

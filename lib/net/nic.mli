@@ -15,5 +15,4 @@ val transmit : t -> bytes:int -> unit
 val note_received : t -> bytes:int -> unit
 val bytes_sent : t -> int
 val bytes_received : t -> int
-val reset_stats : t -> unit
 val gbps : t -> float

@@ -3,10 +3,15 @@ open Ditto_sim
 type msg = { bytes : int; err : bool; arrived : float; meta : int }
 type verdict = Deliver | Delay of float | Drop
 
+(* The counter behind {!Depth}: every endpoint reports its inbox length to
+   exactly one, its own until it is attached to a shared one. *)
+type depth = { mutable queued : int }
+
 type endpoint = {
   engine : Engine.t;
   inbox : msg Queue.t;
   mutable watchers : unit Engine.waker list;
+  mutable depth : depth;
   nic : Nic.t;
   latency : float;
   mutable peer : endpoint option;
@@ -18,6 +23,7 @@ let make engine nic latency =
     engine;
     inbox = Queue.create ();
     watchers = [];
+    depth = { queued = 0 };
     nic;
     latency;
     peer = None;
@@ -51,10 +57,18 @@ let send ?(err = false) ?(meta = 0) ep ~bytes =
           Engine.schedule ep.engine deliver_at (fun () ->
               Nic.note_received peer.nic ~bytes;
               Queue.push { bytes; err; arrived = deliver_at; meta } peer.inbox;
+              peer.depth.queued <- peer.depth.queued + 1;
               notify_watchers peer))
 
-let rec recv_msg ep =
+let try_recv_msg ep =
   match Queue.take_opt ep.inbox with
+  | Some _ as m ->
+      ep.depth.queued <- ep.depth.queued - 1;
+      m
+  | None -> None
+
+let rec recv_msg ep =
+  match try_recv_msg ep with
   | Some msg -> msg
   | None ->
       Engine.suspend (fun w -> ep.watchers <- w :: ep.watchers);
@@ -65,14 +79,12 @@ let recv_timed ep =
   (m.bytes, m.arrived)
 
 let recv ep = (recv_msg ep).bytes
-let try_recv_msg ep = Queue.take_opt ep.inbox
-let try_recv_timed ep = Option.map (fun m -> (m.bytes, m.arrived)) (try_recv_msg ep)
 let try_recv ep = Option.map (fun m -> m.bytes) (try_recv_msg ep)
 
 let recv_msg_timeout ep ~timeout =
   let deadline = Engine.time () +. timeout in
   let rec go () =
-    match Queue.take_opt ep.inbox with
+    match try_recv_msg ep with
     | Some msg -> Some msg
     | None ->
         let left = deadline -. Engine.time () in
@@ -85,6 +97,22 @@ let recv_msg_timeout ep ~timeout =
   go ()
 
 let pending ep = Queue.length ep.inbox
+
+module Depth = struct
+  type t = depth
+
+  let create () = { queued = 0 }
+
+  (* Move the endpoint's queued messages from whatever counter it reported
+     to before onto [t], so re-attaching never double-counts. *)
+  let attach t ep =
+    let n = Queue.length ep.inbox in
+    ep.depth.queued <- ep.depth.queued - n;
+    t.queued <- t.queued + n;
+    ep.depth <- t
+
+  let get t = t.queued
+end
 
 module Epoll = struct
   type t = { mutable endpoints : endpoint list; mutable waiters : unit Engine.waker list }
@@ -102,9 +130,6 @@ module Epoll = struct
     else List.iter (fun w -> Engine.wake w ()) live
 
   let ready t = List.filter (fun ep -> not (Queue.is_empty ep.inbox)) t.endpoints
-
-  let pending_total t =
-    List.fold_left (fun acc ep -> acc + Queue.length ep.inbox) 0 t.endpoints
 
   let register t w =
     t.waiters <- w :: List.filter (fun w' -> not (Engine.is_woken w')) t.waiters;

@@ -56,9 +56,28 @@ val recv_msg_timeout : endpoint -> timeout:float -> msg option
     without a delivery. *)
 
 val try_recv : endpoint -> int option
-val try_recv_timed : endpoint -> (int * float) option
 val try_recv_msg : endpoint -> msg option
 val pending : endpoint -> int
+
+(** {1 Queue depth} *)
+
+module Depth : sig
+  type t
+  (** A queued-message counter shared by a set of endpoints — a tier's
+      accept queues across its primary and replicas. Deliveries into an
+      attached endpoint's inbox raise it and every take (any [recv] or
+      [try_recv] variant) lowers it, so {!get} equals the sum of
+      {!pending} over the attached endpoints in O(1). *)
+
+  val create : unit -> t
+
+  val attach : t -> endpoint -> unit
+  (** Count the endpoint's inbox on [t] from now on, including the
+      messages already queued in it. An endpoint reports to one counter at
+      a time: attaching it elsewhere moves its queued messages over. *)
+
+  val get : t -> int
+end
 
 (** {1 I/O multiplexing} *)
 
@@ -73,8 +92,4 @@ module Epoll : sig
       ready endpoints ([] only on timeout). A non-positive [timeout] polls:
       it returns the currently ready endpoints — possibly [] — without
       blocking or yielding. *)
-
-  val pending_total : t -> int
-  (** Total queued messages across all registered endpoints (the tier's
-      accept-queue depth, used for load shedding). *)
 end

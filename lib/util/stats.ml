@@ -9,10 +9,6 @@ type summary = {
   p99 : float;
 }
 
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.4g std=%.4g p50=%.4g p95=%.4g p99=%.4g" s.count
-    s.mean s.std s.p50 s.p95 s.p99
-
 type t = {
   mutable data : float array;
   mutable len : int;
@@ -52,7 +48,11 @@ let std t = sqrt (variance t)
 let sort_in_place t =
   if not t.sorted then begin
     let live = Array.sub t.data 0 t.len in
-    Array.sort compare live;
+    (* Merge sort under [Float.compare] rather than heap sort under
+       polymorphic [compare]: both define the same order, so the result
+       differs only if two samples compare equal with different bits
+       (-0.0 and 0.0, NaN payloads), which latencies never do. *)
+    Array.stable_sort Float.compare live;
     Array.blit live 0 t.data 0 t.len;
     t.sorted <- true
   end
@@ -90,17 +90,6 @@ let summary t =
     }
 
 let to_array t = Array.sub t.data 0 t.len
-
-let clear t =
-  t.len <- 0;
-  t.sum <- 0.0;
-  t.sumsq <- 0.0;
-  t.sorted <- true
-
-let mean_of xs =
-  match xs with
-  | [] -> 0.0
-  | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 let percentile_of arr q =
   let copy = Array.copy arr in

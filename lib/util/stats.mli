@@ -11,8 +11,6 @@ type summary = {
   p99 : float;
 }
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type t
 (** A sample accumulator that retains all observations (growable buffer),
     suitable for percentile computation on simulation-scale sample counts. *)
@@ -31,9 +29,6 @@ val summary : t -> summary
 val to_array : t -> float array
 (** Copy of the observations in insertion order. *)
 
-val clear : t -> unit
-
-val mean_of : float list -> float
 val percentile_of : float array -> float -> float
 (** Batch percentile over an unsorted array (copies, does not mutate). *)
 

@@ -231,6 +231,161 @@ let test_epoll_multiple_endpoints () =
   Engine.run engine;
   Alcotest.(check bool) "at least one ready" true (!ready_count >= 1)
 
+(* Wake-order pin: two epolls share one engine, an endpoint joins while its worker is
+   parked, a timed wait expires before traffic arrives, an endpoint that is
+   already readable joins a parked epoll, and a burst lands on several
+   endpoints at once. The log holds every wake time (hex, exact), the order
+   the ready lists come back in, and the engine's event count, so any
+   change to who is woken, when, or through how many events shows up. *)
+let epoll_wake_log () =
+  let engine = Engine.create () in
+  let named = ref [] in
+  let conn name =
+    let a, b = make_pair engine in
+    named := (b, name) :: !named;
+    (a, b)
+  in
+  let log = ref [] in
+  let worker name ep ~timeout ~rounds =
+    Engine.spawn engine (fun () ->
+        for _ = 1 to rounds do
+          let ready = Socket.Epoll.wait ~timeout ep in
+          let labels = List.map (fun b -> List.assq b !named) ready in
+          let drained =
+            List.concat_map
+              (fun b ->
+                let rec go acc =
+                  match Socket.try_recv b with Some n -> go (n :: acc) | None -> List.rev acc
+                in
+                go [])
+              ready
+          in
+          log :=
+            Printf.sprintf "%s %h [%s] %s" name (Engine.time ()) (String.concat "," labels)
+              (String.concat "," (List.map string_of_int drained))
+            :: !log
+        done)
+  in
+  let e1 = Socket.Epoll.create () and e2 = Socket.Epoll.create () in
+  let a1, b1 = conn "b1" and a2, b2 = conn "b2" and c1a, c1 = conn "c1" in
+  Socket.Epoll.add e1 b1;
+  Socket.Epoll.add e1 b2;
+  Socket.Epoll.add e2 c1;
+  worker "w1" e1 ~timeout:0.05 ~rounds:7;
+  worker "w2" e2 ~timeout:0.03 ~rounds:8;
+  Engine.spawn engine (fun () ->
+      Engine.wait 0.01;
+      Socket.send a1 ~bytes:11;
+      Engine.wait 0.01;
+      (* w1 is parked again: attach a fresh connection, then use it *)
+      let a3, b3 = conn "b3" in
+      Socket.Epoll.add e1 b3;
+      Engine.wait 0.005;
+      Socket.send a3 ~bytes:33;
+      (* w2's 30 ms waits have expired at least twice by now *)
+      Engine.wait 0.075;
+      Socket.send c1a ~bytes:101;
+      (* an endpoint that is readable before it joins wakes at once *)
+      let d_a, d = conn "d" in
+      Socket.send d_a ~bytes:44;
+      Engine.wait 0.01;
+      Socket.Epoll.add e2 d;
+      (* the burst: equal-sized sends land on every endpoint of both
+         epolls in one instant *)
+      Engine.wait 0.01;
+      List.iter
+        (fun a -> Engine.fork (fun () -> Socket.send a ~bytes:5))
+        [ a2; a1; a3; c1a; d_a ]);
+  Engine.run engine;
+  List.rev !log @ [ Printf.sprintf "events=%d" (Engine.events_processed engine) ]
+
+let epoll_wake_expected =
+  [
+    "w1 0x1.4af589bee1fbdp-7 [b1] 11";
+    "w1 0x1.9b3db394c26f5p-6 [b3] 33";
+    "w2 0x1.eb851eb851eb8p-6 [] ";
+    "w2 0x1.eb851eb851eb8p-5 [] ";
+    "w1 0x1.339c39b1fd68ap-4 [] ";
+    "w2 0x1.70a3d70a3d70ap-4 [] ";
+    "w2 0x1.9a02c68904d9bp-4 [c1] 101";
+    "w2 0x1.c28fc7bfb9ed3p-4 [d] 44";
+    "w1 0x1.ebee77adbbae7p-4 [b3,b2,b1] 5,5,5";
+    "w2 0x1.ebee77adbbae7p-4 [d,c1] 5,5";
+    "w2 0x1.3367dfade814ap-3 [] ";
+    "w1 0x1.5c5da23d443dap-3 [] ";
+    "w2 0x1.70d88384f2521p-3 [] ";
+    "w1 0x1.c2c408a3aaa4p-3 [] ";
+    "w1 0x1.1495378508853p-2 [] ";
+    "events=68";
+  ]
+
+let test_epoll_wake_order_pin () =
+  Alcotest.(check (list string)) "wake order matches the recorded pin" epoll_wake_expected
+    (epoll_wake_log ())
+
+(* A tier's [Socket.Depth] counter must equal the summed [pending] of the
+   endpoints attached to it after every step of any interleaving of sends,
+   the three takes, epoll registration and attachment (some endpoints are
+   attached only once traffic is already queued on them), with an epoll
+   worker draining concurrently. *)
+type depth_op = Send | Try_recv | Recv | Recv_timeout | Attach | Epoll_add | Pause
+
+let depth_ops = [| Send; Send; Try_recv; Recv; Recv_timeout; Attach; Epoll_add; Pause |]
+
+let depth_counter_holds ops =
+  let engine = Engine.create () in
+  let pairs = Array.init 4 (fun _ -> make_pair engine) in
+  let depth = Socket.Depth.create () in
+  let attached = Array.make 4 false and polled = Array.make 4 false in
+  let ep = Socket.Epoll.create () in
+  let ok = ref true and steps = ref 0 in
+  let check () =
+    let sum = ref 0 in
+    Array.iteri (fun i (_, b) -> if attached.(i) then sum := !sum + Socket.pending b) pairs;
+    if Socket.Depth.get depth <> !sum then ok := false
+  in
+  Engine.spawn engine (fun () ->
+      for _ = 1 to 40 do
+        (match Socket.Epoll.wait ~timeout:2e-4 ep with
+        | [] -> ()
+        | b :: _ -> ignore (Socket.try_recv_msg b));
+        check ()
+      done);
+  Engine.spawn engine (fun () ->
+      List.iter
+        (fun (k, i) ->
+          let a, b = pairs.(i) in
+          (match depth_ops.(k) with
+          | Send -> Socket.send a ~bytes:(1 + i)
+          | Try_recv -> ignore (Socket.try_recv_msg b)
+          | Recv when polled.(i) ->
+              (* the epoll worker may take the message first; never block *)
+              ignore (Socket.try_recv_msg b)
+          | Recv ->
+              if Socket.pending b = 0 then Socket.send a ~bytes:1;
+              ignore (Socket.recv_msg b)
+          | Recv_timeout -> ignore (Socket.recv_msg_timeout b ~timeout:1.5e-4)
+          | Attach ->
+              Socket.Depth.attach depth b;
+              attached.(i) <- true
+          | Epoll_add ->
+              Socket.Epoll.add ep b;
+              polled.(i) <- true
+          | Pause -> Engine.wait 5e-5);
+          check ();
+          incr steps)
+        ops);
+  Engine.run engine;
+  check ();
+  !ok && !steps = List.length ops
+
+let prop_depth_counter =
+  QCheck.Test.make ~name:"depth counter = sum of attached pending" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 1 80)
+        (pair (int_range 0 (Array.length depth_ops - 1)) (int_range 0 3)))
+    depth_counter_holds
+
 let () =
   Alcotest.run "net_storage"
     [
@@ -253,6 +408,7 @@ let () =
           Alcotest.test_case "bidirectional" `Quick test_socket_bidirectional;
           Alcotest.test_case "recv timed" `Quick test_socket_recv_timed;
           Alcotest.test_case "try_recv/pending" `Quick test_socket_try_recv_and_pending;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7331 |]) prop_depth_counter;
         ] );
       ( "epoll",
         [
@@ -261,5 +417,6 @@ let () =
           Alcotest.test_case "zero timeout polls" `Quick test_epoll_zero_timeout_polls;
           Alcotest.test_case "add while waiting" `Quick test_epoll_add_while_waiting;
           Alcotest.test_case "multiple endpoints" `Quick test_epoll_multiple_endpoints;
+          Alcotest.test_case "wake-order pin" `Quick test_epoll_wake_order_pin;
         ] );
     ]

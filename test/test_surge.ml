@@ -473,6 +473,164 @@ let test_surge_scorecard () =
     ];
   Alcotest.(check int) "and nothing else" 7 (List.length keys)
 
+(* {1 Golden surge pin}
+
+   A short memcached serve under a flash crowd, a mid-tier kill, admission
+   control and autoscaling, pinned bit-for-bit to the values the original
+   service implementation produced. test_parallel pins runs against each
+   other across pool sizes; this pins them across code versions, so a
+   refactor of the service bookkeeping (backlog accounting, epoll wakeups,
+   fault-state lookups, replica construction) cannot shift a single event. *)
+
+let golden_surge_run () =
+  let entry = Ditto_apps.Registry.by_name "memcached" in
+  let app = entry.Ditto_apps.Registry.spec () in
+  let duration = 0.5 in
+  let tiers = List.map (fun (t : Spec.tier) -> t.Spec.tier_name) app.Spec.tiers in
+  let armoured =
+    Spec.with_autoscale (Spec.autoscale ~max_replicas:4 ())
+      (Spec.with_resilience (Spec.resilient ~queue_bound:48 ()) app)
+  in
+  let _, med, _ = entry.Ditto_apps.Registry.loads in
+  let load =
+    let l =
+      Ditto_loadgen.Workload.to_load entry.Ditto_apps.Registry.workload ~qps:med ~duration
+        ~profile:(Profile.flash_crowd ~duration ()) ()
+    in
+    { l with Service.client_timeout = Some 0.03; client_retries = 1 }
+  in
+  let config =
+    Runner.config ~requests:40 ~seed:7 ~fault_plan:(Plan.kill_mid_tier ~duration ~tiers ())
+      Platform.a
+  in
+  (Runner.run config ~load armoured).Runner.service
+
+let service_golden_lines (r : Service.result) =
+  let bits name x = Printf.sprintf "%s=%Lx" name (Int64.bits_of_float x) in
+  let summary prefix (s : Ditto_util.Stats.summary) =
+    [
+      Printf.sprintf "%s.count=%d" prefix s.Ditto_util.Stats.count;
+      bits (prefix ^ ".mean") s.Ditto_util.Stats.mean;
+      bits (prefix ^ ".std") s.Ditto_util.Stats.std;
+      bits (prefix ^ ".min") s.Ditto_util.Stats.min;
+      bits (prefix ^ ".max") s.Ditto_util.Stats.max;
+      bits (prefix ^ ".p50") s.Ditto_util.Stats.p50;
+      bits (prefix ^ ".p95") s.Ditto_util.Stats.p95;
+      bits (prefix ^ ".p99") s.Ditto_util.Stats.p99;
+    ]
+  in
+  summary "e2e" r.Service.latency
+  @ [
+      Printf.sprintf "completed=%d errors=%d client_timeouts=%d client_retries=%d"
+        r.Service.completed r.Service.errors r.Service.client_timeouts
+        r.Service.client_retries;
+    ]
+  @ List.concat_map
+      (fun (o : Service.tier_obs) ->
+        summary o.Service.obs_name o.Service.obs_latency
+        @ [
+            Printf.sprintf "%s shed=%d retries=%d timeouts=%d replicas=%d drops=%d"
+              o.Service.obs_name o.Service.obs_shed o.Service.obs_retries
+              o.Service.obs_timeouts o.Service.obs_replicas o.Service.obs_link_drops;
+          ])
+      r.Service.tiers
+  @ List.map
+      (fun (e : Service.scale_event) ->
+        Printf.sprintf "scale %s %d->%d at %Lx" e.Service.se_tier e.Service.se_from
+          e.Service.se_to (Int64.bits_of_float e.Service.se_at))
+      r.Service.scale_events
+
+let golden_surge_expected =
+  [
+    "e2e.count=162051";
+    "e2e.mean=3fc8e9eaa359cb5b";
+    "e2e.std=3fbccfeea33572cb";
+    "e2e.min=3f0959a64a01a700";
+    "e2e.max=3fdb5edb45fbd34a";
+    "e2e.p50=3fcaafa2fa7bfbf2";
+    "e2e.p95=3fd9f89614125d4f";
+    "e2e.p99=3fdb1cccc7282b8d";
+    "completed=162051 errors=8749 client_timeouts=384 client_retries=10805";
+    "memcached.count=162053";
+    "memcached.mean=3f2bf98db99de786";
+    "memcached.std=3f3e43d05c9751d4";
+    "memcached.min=3ee0eee332170000";
+    "memcached.max=3fbff60e4a33342c";
+    "memcached.p50=3f3072183f48a000";
+    "memcached.p95=3f41c1ee5358c000";
+    "memcached.p99=3f41c1ee5358c000";
+    "memcached shed=19552 retries=0 timeouts=0 replicas=3 drops=0";
+    "scale memcached 1->2 at 3fd3333333333333";
+    "scale memcached 2->3 at 3fdccccccccccccc";
+  ]
+
+let test_golden_surge_pin () =
+  Alcotest.(check (list string)) "surge run matches the recorded pin" golden_surge_expected
+    (service_golden_lines (golden_surge_run ()))
+
+(* The same pin on the two-tier surge app: the front tier scales out, its
+   replicas open their own downstream connections, those cross a lossy,
+   delayed link (the per-connection disruptor) and ride out a front
+   slowdown and a back-tier crash. *)
+let golden_two_tier_run () =
+  let plan =
+    Plan.make ~name:"mixed"
+      [
+        {
+          Plan.at = 0.1;
+          tier = "back";
+          kind = Plan.Link { add_latency = 2e-4; drop = 0.05; lasts = 0.2 };
+        };
+        { Plan.at = 0.15; tier = "front"; kind = Plan.Slowdown { factor = 2.0; lasts = 0.1 } };
+        { Plan.at = 0.3; tier = "back"; kind = Plan.Crash { down_for = 0.05 } };
+      ]
+  in
+  let app =
+    Spec.with_autoscale surge_policy
+      (Spec.with_resilience (Spec.resilient ~queue_bound:16 ()) (surge_app ()))
+  in
+  let config = Runner.config ~requests:40 ~fault_plan:plan Platform.a in
+  (Runner.run config
+     ~load:(surge_load ~profile:(Profile.flash_crowd ~mult:8.0 ~duration:0.5 ()) ~qps:4000.0 ())
+     app)
+    .Runner.service
+
+let golden_two_tier_expected =
+  [
+    "e2e.count=6242";
+    "e2e.mean=3fd1e216646e4dc6";
+    "e2e.std=3fc24fda6dd57c2f";
+    "e2e.min=3f2ae0c62ca9b7d0";
+    "e2e.max=3fe298b639418ce6";
+    "e2e.p50=3fd2026db6d85465";
+    "e2e.p95=3fe134617eebbe9d";
+    "e2e.p99=3fe2635699cca90f";
+    "completed=6242 errors=27 client_timeouts=81 client_retries=73";
+    "front.count=6292";
+    "front.mean=3f58440f8196fa6d";
+    "front.std=3f6b11021e33532d";
+    "front.min=3f25a136e2aec8d8";
+    "front.max=3fab0bafb439393c";
+    "front.p50=3f483dc1e2b4c000";
+    "front.p95=3f6aad141bcdc166";
+    "front.p99=3f9151058680b0a3";
+    "front shed=0 retries=167 timeouts=69 replicas=3 drops=31";
+    "back.count=6330";
+    "back.mean=3f39a79917bac187";
+    "back.std=3f5c28799f7f313c";
+    "back.min=3f23e688b0357000";
+    "back.max=3faa0109e0a32be0";
+    "back.p50=3f3342a2329b4000";
+    "back.p95=3f43e5e99b36ea9a";
+    "back.p99=3f441dc208033f57";
+    "back shed=0 retries=0 timeouts=0 replicas=1 drops=29";
+    "scale front 1->3 at 3fbeb851eb851eb9";
+  ]
+
+let test_golden_two_tier_pin () =
+  Alcotest.(check (list string)) "two-tier run matches the recorded pin" golden_two_tier_expected
+    (service_golden_lines (golden_two_tier_run ()))
+
 let test_scenario_name () =
   let plan = Plan.make ~name:"kill" [] in
   let prof = Profile.flash_crowd ~duration:1.0 () in
@@ -505,6 +663,8 @@ let () =
           Alcotest.test_case "autoscaler deterministic" `Slow test_autoscaler_deterministic;
           Alcotest.test_case "graceful degradation" `Slow test_degraded_service;
           Alcotest.test_case "shedding under surge" `Slow test_shedding_under_surge;
+          Alcotest.test_case "golden surge pin" `Slow test_golden_surge_pin;
+          Alcotest.test_case "golden two-tier pin" `Slow test_golden_two_tier_pin;
         ] );
       ( "scorecard",
         [ Alcotest.test_case "surge fidelity" `Slow test_surge_scorecard ] );

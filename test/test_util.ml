@@ -224,6 +224,32 @@ let prop_mean_between_min_max =
       let sum = Stats.summary s in
       sum.Stats.mean >= sum.Stats.min -. 1e-6 && sum.Stats.mean <= sum.Stats.max +. 1e-6)
 
+(* [Stats] sorts its samples with [Array.stable_sort Float.compare]; the
+   heap sort under polymorphic [compare] it replaced must give the same
+   array bit for bit, and so the same percentiles. Values come from a small
+   pool so duplicates are common. *)
+let prop_stats_sort_matches_heap_sort =
+  let value =
+    QCheck.Gen.(oneof [ map (fun k -> float_of_int k *. 1e-4) (int_range 0 12); float_bound_inclusive 1.0 ])
+  in
+  QCheck.Test.make ~name:"stats sort = heap sort under compare" ~count:300
+    QCheck.(make ~print:Print.(array float) Gen.(array_size (int_range 1 300) value))
+    (fun xs ->
+      let bits a = Array.map Int64.bits_of_float a in
+      let heap = Array.copy xs and merge = Array.copy xs in
+      Array.sort compare heap;
+      Array.stable_sort Float.compare merge;
+      let s = Stats.create () in
+      Array.iter (Stats.add s) xs;
+      bits heap = bits merge
+      && List.for_all
+           (fun q ->
+             Int64.bits_of_float (Stats.percentile s q)
+             = Int64.bits_of_float (Stats.percentile_of xs q))
+           (List.init 101 float_of_int)
+      && (Stats.summary s).Stats.min = heap.(0)
+      && (Stats.summary s).Stats.max = heap.(Array.length heap - 1))
+
 (* {1 Histogram} *)
 
 let test_histogram_counts () =
@@ -467,6 +493,8 @@ let () =
           Alcotest.test_case "mape zero" `Quick test_stats_mape_skips_zero;
           qt prop_percentile_monotonic;
           qt prop_mean_between_min_max;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1414 |])
+            prop_stats_sort_matches_heap_sort;
         ] );
       ( "histogram",
         [
