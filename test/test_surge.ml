@@ -631,6 +631,198 @@ let test_golden_two_tier_pin () =
   Alcotest.(check (list string)) "two-tier run matches the recorded pin" golden_two_tier_expected
     (service_golden_lines (golden_two_tier_run ()))
 
+(* {1 Golden steady-state pins}
+
+   Short steady-load serves on the three server models: redis (one epoll
+   tier), mongodb (the blocking thread-per-connection model, no worker
+   timeouts) and hotel_reservation (a multi-tier epoll graph), pinned
+   bit-for-bit to the values recorded before the engine learnt to cancel
+   timers. The end-to-end summary, each tier's latency summary, the
+   completion count and the achieved rate must all hold; event counts
+   are not pinned. [achieved_qps] divides by the elapsed time the run
+   reads off the engine clock, so it also guards where the clock stands
+   when the run drains. *)
+
+let golden_steady_run name =
+  let entry = Ditto_apps.Registry.by_name name in
+  let _, med, _ = entry.Ditto_apps.Registry.loads in
+  let load =
+    Ditto_loadgen.Workload.to_load entry.Ditto_apps.Registry.workload ~qps:med ~duration:0.05 ()
+  in
+  let config = Runner.config ~requests:30 ~seed:11 Platform.a in
+  (Runner.run config ~load (entry.Ditto_apps.Registry.spec ())).Runner.service
+
+let steady_golden_lines (r : Service.result) =
+  Printf.sprintf "achieved_qps=%Lx" (Int64.bits_of_float r.Service.achieved_qps)
+  :: service_golden_lines r
+
+let golden_steady_expected =
+  [
+    ( "redis",
+      [
+        "achieved_qps=40e0e50000000000";
+        "e2e.count=1730";
+        "e2e.mean=3f071b84f0ca2f24";
+        "e2e.std=3eb51088b3ae6660";
+        "e2e.min=3f06936030983000";
+        "e2e.max=3f1114df254e04b8";
+        "e2e.p50=3f06e67eaf583c00";
+        "e2e.p95=3f08697fe204e1cd";
+        "e2e.p99=3f095e970239de9d";
+        "completed=1730 errors=0 client_timeouts=0 client_retries=0";
+        "redis.count=1730";
+        "redis.mean=3ed0ea31aaab2b25";
+        "redis.std=3eb5101114aa1cb8";
+        "redis.min=3ec952308ac76000";
+        "redis.max=3efa570245609b20";
+        "redis.p50=3ece841876c82000";
+        "redis.p95=3edb5a15d0c93733";
+        "redis.p99=3ee1816769388a74";
+        "redis shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+      ] );
+    ( "mongodb",
+      [
+        "achieved_qps=408f400000000000";
+        "e2e.count=50";
+        "e2e.mean=3f1c308d31e5fd05";
+        "e2e.std=3f0048762bf8aa5b";
+        "e2e.min=3f0ca37afc5e3500";
+        "e2e.max=3f209f2af1575200";
+        "e2e.p50=3f2078f39eed1580";
+        "e2e.p95=3f20999f8eed4d55";
+        "e2e.p99=3f209c7371c2177a";
+        "completed=50 errors=0 client_timeouts=0 client_retries=0";
+        "mongodb.count=50";
+        "mongodb.mean=3f11ac4733f746fb";
+        "mongodb.std=3f0048762bf8aa4b";
+        "mongodb.min=3eee6bbc02032400";
+        "mongodb.max=3f16ba0fe4bfee00";
+        "mongodb.p50=3f166da13feb7500";
+        "mongodb.p95=3f16aef91febe470";
+        "mongodb.p99=3f16b4a0e59578f3";
+        "mongodb shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+      ] );
+    ( "hotel_reservation",
+      [
+        "achieved_qps=4094a00000000000";
+        "e2e.count=66";
+        "e2e.mean=3f1ddb6068ec0884";
+        "e2e.std=3efac6bb8f6afbf4";
+        "e2e.min=3f18673f534bd600";
+        "e2e.max=3f29faf87e734600";
+        "e2e.p50=3f1bc592823bb080";
+        "e2e.p95=3f2994875f5c9680";
+        "e2e.p99=3f29eeb520e5c76d";
+        "completed=66 errors=0 client_timeouts=0 client_retries=0";
+        "frontend.count=66";
+        "frontend.mean=3f1358d238faf055";
+        "frontend.std=3efac6bb8f6afc24";
+        "frontend.min=3f0bc96246b57c00";
+        "frontend.max=3f24b9b1667aba00";
+        "frontend.p50=3f114304524a9840";
+        "frontend.p95=3f24534047640a80";
+        "frontend.p99=3f24ad6e08ed3b6d";
+        "frontend shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "SearchService.count=43";
+        "SearchService.mean=3f079cf3f3a7098e";
+        "SearchService.std=3ecd6b8640080294";
+        "SearchService.min=3f004f1619369800";
+        "SearchService.max=3f08e517e64c9a00";
+        "SearchService.p50=3f0824757e811c00";
+        "SearchService.p95=3f08c89b7445491a";
+        "SearchService.p99=3f08dae64708bd8f";
+        "SearchService shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "GeoService.count=43";
+        "GeoService.mean=3ed878fd218cbf4d";
+        "GeoService.std=3ea9c4c2f272015a";
+        "GeoService.min=3ec80a5d6ffc4000";
+        "GeoService.max=3edda73e87688000";
+        "GeoService.p50=3ed8d01855bc0c00";
+        "GeoService.p95=3edb60ddfcec5500";
+        "GeoService.p99=3edcb2a5577c08cc";
+        "GeoService shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "RateService.count=43";
+        "RateService.mean=3ed6dea46a0aa230";
+        "RateService.std=3eaabd991e914904";
+        "RateService.min=3ec511495bef0000";
+        "RateService.max=3ed9eda8c4cb1000";
+        "RateService.p50=3ed78441f8e42000";
+        "RateService.p95=3ed8fdbaa55cb000";
+        "RateService.p99=3ed9ae5cb752ec52";
+        "RateService shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "ReservationService.count=6";
+        "ReservationService.mean=3f0f1f9d648edb00";
+        "ReservationService.std=3efb5db3ceafa45b";
+        "ReservationService.min=3f07c1ab7bb49600";
+        "ReservationService.max=3f1ed39f2e7fc600";
+        "ReservationService.p50=3f09bf5468a63200";
+        "ReservationService.p95=3f1a5d96d0992980";
+        "ReservationService.p99=3f1def371bb80d1a";
+        "ReservationService shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "RecommendationService.count=17";
+        "RecommendationService.mean=3f12f6ce8a48f648";
+        "RecommendationService.std=3f05b3295ac8514a";
+        "RecommendationService.min=3f05656039ded000";
+        "RecommendationService.max=3f21f5aa1f83e300";
+        "RecommendationService.p50=3f0755f72ae61380";
+        "RecommendationService.p95=3f21f32a60a3edcd";
+        "RecommendationService.p99=3f21f52a2c8a4b8f";
+        "RecommendationService shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "ProfileService.count=17";
+        "ProfileService.mean=3f0baa4c155b2a22";
+        "ProfileService.std=3f05c564f57b1238";
+        "ProfileService.min=3ef637c4c8ebe800";
+        "ProfileService.max=3f1ed6bcc4f33200";
+        "ProfileService.p50=3efa0910c3f87000";
+        "ProfileService.p95=3f1ecfa7e253e133";
+        "ProfileService.p99=3f1ed5523139bb71";
+        "ProfileService shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "UserAuthService.count=6";
+        "UserAuthService.mean=3ed6e05bff67a300";
+        "UserAuthService.std=3e8c86cd62815e6e";
+        "UserAuthService.min=3ed5b6dd5d693000";
+        "UserAuthService.max=3ed7c978dd28a000";
+        "UserAuthService.p50=3ed6eba11ffa4100";
+        "UserAuthService.p95=3ed7c978dd28a000";
+        "UserAuthService.p99=3ed7c978dd28a000";
+        "UserAuthService shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "ProfileCache.count=17";
+        "ProfileCache.mean=3ed58a01dfdecdc4";
+        "ProfileCache.std=3e89ecff07a9c4f8";
+        "ProfileCache.min=3ed4514a924bc000";
+        "ProfileCache.max=3ed6d02aed14e000";
+        "ProfileCache.p50=3ed594f2a053b000";
+        "ProfileCache.p95=3ed6a3120dd39333";
+        "ProfileCache.p99=3ed6c725f3a16a3d";
+        "ProfileCache shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "ProfileDB.count=6";
+        "ProfileDB.mean=3f11936acab98c80";
+        "ProfileDB.std=3efa6e457feb561a";
+        "ProfileDB.min=3ee66c0fed8da000";
+        "ProfileDB.max=3f14c554db1ebc00";
+        "ProfileDB.p50=3f147acf052f5280";
+        "ProfileDB.p95=3f14b3fba7bd3e80";
+        "ProfileDB.p99=3f14c1dc9da4d61a";
+        "ProfileDB shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+        "ReservationDB.count=6";
+        "ReservationDB.mean=3ef547b29c92e480";
+        "ReservationDB.std=3efb568698a0fddf";
+        "ReservationDB.min=3edb2cf76fe6ac00";
+        "ReservationDB.max=3f149411afc71c00";
+        "ReservationDB.p50=3ee4913576d8c000";
+        "ReservationDB.p95=3f101a1a8f1d9980";
+        "ReservationDB.p99=3f13aee042d8684e";
+        "ReservationDB shed=0 retries=0 timeouts=0 replicas=1 drops=0";
+      ] );
+  ]
+
+let test_golden_steady_pins () =
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check (list string)) (name ^ " steady run matches the recorded pin") expected
+        (steady_golden_lines (golden_steady_run name)))
+    golden_steady_expected
+
 let test_scenario_name () =
   let plan = Plan.make ~name:"kill" [] in
   let prof = Profile.flash_crowd ~duration:1.0 () in
@@ -665,6 +857,7 @@ let () =
           Alcotest.test_case "shedding under surge" `Slow test_shedding_under_surge;
           Alcotest.test_case "golden surge pin" `Slow test_golden_surge_pin;
           Alcotest.test_case "golden two-tier pin" `Slow test_golden_two_tier_pin;
+          Alcotest.test_case "golden steady-state pins" `Slow test_golden_steady_pins;
         ] );
       ( "scorecard",
         [ Alcotest.test_case "surge fidelity" `Slow test_surge_scorecard ] );
