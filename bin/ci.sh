@@ -8,7 +8,8 @@
 # critpath smoke (request-level critical-path tracing + divergence
 # attribution + Jaeger round-trip), a surge smoke (flash-crowd overload
 # with autoscaling and admission control fired on both sides), a traced
-# surge-memcached perfbench run (its output and determinism checks), and
+# surge-memcached perfbench run (its output and determinism checks, and a
+# bound on the live event heap), and
 # the fidelity regression gate
 # (scorecards diffed against the committed baseline, plus a proof that
 # the gate rejects a perturbed baseline).
@@ -193,8 +194,22 @@ echo "== perfbench surge (shed/autoscale output checks + traced determinism) =="
 # the untraced and traced runs of one seed agree exactly on fidelity and
 # simulated counts must pass, or run.py exits non-zero. run.py refuses to
 # start while DITTO_DOMAINS or DITTO_MEMO is set, so both are unset here.
+# Its JSON line also gates the event heap: timed waits beaten by traffic
+# are withdrawn, so the heap holds only live events (a few hundred on this
+# seed; ~28.5k when every dead timeout stayed queued until it expired).
+# The count is deterministic per seed.
+perfbench_json="$tmpdir/perfbench_surge.json"
 env -u DITTO_DOMAINS -u DITTO_MEMO python3 perfbench/run.py --workload surge-memcached \
-  --seed 1 --seconds 10 --trace 1
+  --seed 1 --seconds 10 --trace 1 > "$perfbench_json"
+cat "$perfbench_json"
+python3 - "$perfbench_json" <<'PY'
+import json, sys
+lines = [l for l in open(sys.argv[1]) if l.startswith("{")]
+peak = json.loads(lines[-1])["metrics"]["sim.peak_heap_events"]["value"]
+if peak > 1000:
+    sys.exit("ci: FAIL — sim.peak_heap_events %d > 1000: dead timers are piling up" % peak)
+print("sim.peak_heap_events %d <= 1000" % peak)
+PY
 
 echo "== scorecard regression gate (vs bench/baselines/default.json) =="
 bench_json="$tmpdir/bench.json"

@@ -18,5 +18,3 @@ val run_oncpu : t -> thread:int -> float -> unit
 
 val context_switches : t -> int
 val busy_seconds : t -> float
-val runnable : t -> int
-(** Threads currently queued waiting for a core. *)

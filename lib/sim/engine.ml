@@ -5,8 +5,12 @@ open Effect.Deep
    sequence number makes same-time events FIFO and the heap total. The
    callback is stored unapplied next to its argument (an existential pair)
    so the hot wake path never allocates a wrapper closure: [wake w v] stores
-   [f] and [v] side by side instead of building [fun () -> f v]. *)
-type event = Ev : { at : float; seq : int; fn : 'a -> unit; arg : 'a } -> event
+   [f] and [v] side by side instead of building [fun () -> f v]. [pos] is
+   the event's current heap slot, kept up to date by every sift, so a
+   pending timer can be withdrawn in O(log n); it is -1 while the event is
+   outside the heap (in the immediate FIFO, popped or withdrawn). *)
+type event =
+  | Ev : { at : float; seq : int; fn : 'a -> unit; arg : 'a; mutable pos : int } -> event
 
 type t = {
   mutable time : float;
@@ -26,7 +30,7 @@ type t = {
   mutable profile_label : string;
 }
 
-let dummy_event = Ev { at = 0.0; seq = 0; fn = ignore; arg = () }
+let dummy_event = Ev { at = 0.0; seq = 0; fn = ignore; arg = (); pos = -1 }
 
 (* Largest event-storage high-water mark seen by any engine in this
    process, folded in when [run] returns (not on the push hot path). *)
@@ -56,6 +60,10 @@ let create ?(capacity = 256) () =
    does not pin peak memory between clones. Counters survive for stats. *)
 let reset t =
   fold_global_peak t.peak_live;
+  for i = 0 to t.size - 1 do
+    let (Ev e) = t.heap.(i) in
+    e.pos <- -1
+  done;
   t.heap <- Array.make 16 dummy_event;
   t.size <- 0;
   Queue.clear t.imm;
@@ -69,6 +77,37 @@ let peak_live_events t = t.peak_live
 
 let event_before (Ev a) (Ev b) = a.at < b.at || (a.at = b.at && a.seq < b.seq)
 
+(* Sifts move a hole instead of swapping: the moving event is written
+   once, at its final slot, and every event shifted past it has its [pos]
+   updated as it moves. *)
+let place t i (Ev e as ev) =
+  t.heap.(i) <- ev;
+  e.pos <- i
+
+let rec sift_up t i ev =
+  if i = 0 then place t 0 ev
+  else
+    let parent = (i - 1) / 2 in
+    let p = t.heap.(parent) in
+    if event_before ev p then begin
+      place t i p;
+      sift_up t parent ev
+    end
+    else place t i ev
+
+let rec sift_down t i ev =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i ev
+  else
+    let r = l + 1 in
+    let c = if r < t.size && event_before t.heap.(r) t.heap.(l) then r else l in
+    let child = t.heap.(c) in
+    if event_before child ev then begin
+      place t i child;
+      sift_down t c ev
+    end
+    else place t i ev
+
 let push_heap t ev =
   if t.size = Array.length t.heap then begin
     (* Grow straight to at least the creation-time hint: a capacity guess
@@ -77,56 +116,49 @@ let push_heap t ev =
     Array.blit t.heap 0 bigger 0 t.size;
     t.heap <- bigger
   end;
-  (* Sift up. *)
-  let i = ref t.size in
   t.size <- t.size + 1;
-  t.heap.(!i) <- ev;
-  let continue_up = ref true in
-  while !continue_up && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if event_before t.heap.(!i) t.heap.(parent) then begin
-      let tmp = t.heap.(parent) in
-      t.heap.(parent) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := parent
-    end
-    else continue_up := false
-  done
+  sift_up t (t.size - 1) ev
 
-let push_app : type a. t -> float -> (a -> unit) -> a -> unit =
+(* Push an event and return it, so the caller can later [cancel] it. The
+   sequence number is consumed here whether or not the event is ever
+   dispatched, so withdrawing one event never reorders the others. *)
+let push_event : type a. t -> float -> (a -> unit) -> a -> event =
  fun t at fn arg ->
   let at = Float.max at t.time in
-  let ev = Ev { at; seq = t.next_seq; fn; arg } in
+  let ev = Ev { at; seq = t.next_seq; fn; arg; pos = -1 } in
   t.next_seq <- t.next_seq + 1;
   if at <= t.time then Queue.push ev t.imm else push_heap t ev;
   let live = t.size + Queue.length t.imm in
-  if live > t.peak_live then t.peak_live <- live
+  if live > t.peak_live then t.peak_live <- live;
+  ev
 
+let push_app t at fn arg = ignore (push_event t at fn arg)
 let push t at fn = push_app t at fn ()
+
+(* Withdraw a pending heap event: the last event fills its slot and is
+   re-sifted from there. Events outside the heap (already dispatched, or
+   waiting in the immediate FIFO) are left alone. *)
+let cancel t (Ev e) =
+  let i = e.pos in
+  if i >= 0 then begin
+    e.pos <- -1;
+    t.size <- t.size - 1;
+    let last = t.heap.(t.size) in
+    t.heap.(t.size) <- dummy_event;
+    if i < t.size then
+      if i > 0 && event_before last t.heap.((i - 1) / 2) then sift_up t i last
+      else sift_down t i last
+  end
 
 let pop_heap t =
   if t.size = 0 then None
   else begin
-    let top = t.heap.(0) in
+    let (Ev e as top) = t.heap.(0) in
+    e.pos <- -1;
     t.size <- t.size - 1;
-    t.heap.(0) <- t.heap.(t.size);
+    let last = t.heap.(t.size) in
     t.heap.(t.size) <- dummy_event;
-    (* Sift down. *)
-    let i = ref 0 in
-    let continue_down = ref true in
-    while !continue_down do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.size && event_before t.heap.(l) t.heap.(!smallest) then smallest := l;
-      if r < t.size && event_before t.heap.(r) t.heap.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = t.heap.(!smallest) in
-        t.heap.(!smallest) <- t.heap.(!i);
-        t.heap.(!i) <- tmp;
-        i := !smallest
-      end
-      else continue_down := false
-    done;
+    if t.size > 0 then sift_down t 0 last;
     Some top
   end
 
@@ -283,18 +315,34 @@ let wake w v =
 let is_woken w = w.woken
 let suspend register = perform (Suspend register)
 
+(* The timer is withdrawn from the heap as soon as the inner waker's
+   resumption runs, so a wait beaten by traffic leaves no dead event behind.
+   A zero timeout sits in the immediate FIFO, where it cannot be withdrawn;
+   the [inner.woken] guard turns it into a no-op. *)
 let suspend_timeout d register =
   suspend (fun (outer : 'a option waker) ->
+      let engine = outer.engine in
+      let timer = ref dummy_event in
       let inner =
-        { engine = outer.engine; resume = Some (fun v -> wake outer (Some v)); woken = false }
+        {
+          engine;
+          resume =
+            Some
+              (fun v ->
+                cancel engine !timer;
+                wake outer (Some v));
+          woken = false;
+        }
       in
       register inner;
-      push outer.engine (outer.engine.time +. d) (fun () ->
-          if not inner.woken then begin
-            inner.woken <- true;
-            inner.resume <- None;
-            wake outer None
-          end))
+      timer :=
+        push_event engine (engine.time +. d) (fun () ->
+            if not inner.woken then begin
+              inner.woken <- true;
+              inner.resume <- None;
+              wake outer None
+            end)
+          ())
 
 let fork f = perform (Fork f)
 

@@ -46,15 +46,19 @@ val every : t -> start:float -> period:float -> until:float -> (float -> unit) -
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing the clock; stop early once the clock
-    would exceed [until]. *)
+    would exceed [until]. When the queue drains first, {!now} is left at
+    the time of the last event dispatched: timers withdrawn by
+    {!suspend_timeout} do not advance it. *)
 
 val events_processed : t -> int
-(** Total events executed so far (for engine benchmarking). *)
+(** Total events dispatched so far (for engine benchmarking). Timers
+    withdrawn by {!suspend_timeout} are not dispatched and not counted. *)
 
 val peak_live_events : t -> int
-(** High-water mark of simultaneously pending events (heap + immediate
-    queue) over this engine's lifetime — the number [create]'s [?capacity]
-    hint should cover. *)
+(** High-water mark of simultaneously pending live events (heap +
+    immediate queue) over this engine's lifetime — the number [create]'s
+    [?capacity] hint should cover. A withdrawn timer stops counting as soon
+    as it is withdrawn. *)
 
 val global_peak_heap_events : unit -> int
 (** Largest {!peak_live_events} observed by any engine in this process
@@ -90,7 +94,12 @@ val suspend : ('a waker -> unit) -> 'a
 
 val suspend_timeout : float -> ('a waker -> unit) -> 'a option
 (** Like [suspend], but resumes with [None] after the timeout if not woken
-    earlier. *)
+    earlier. When the waker fires first, the timer is withdrawn from the
+    event queue as the process resumes, so a wait beaten by traffic leaves
+    no dead event behind. The timer still takes its place in the
+    same-instant FIFO order when it is set, so withdrawing it never
+    reorders other events. A timeout of zero (or less) is queued for the
+    current instant and is not withdrawn: it fires as a no-op. *)
 
 val fork : (unit -> unit) -> unit
 (** Spawn a sibling process on the same engine, starting now. *)

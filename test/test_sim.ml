@@ -255,6 +255,116 @@ let test_events_processed () =
   Engine.run engine;
   Alcotest.(check bool) "counted" true (Engine.events_processed engine >= 2)
 
+(* {1 Withdrawn timers}
+
+   A [suspend_timeout] beaten by its waker withdraws its timer from the
+   event heap: the heap holds only live events, dispatch order and results
+   are unchanged, and the clock stops at the last live event. *)
+
+(* A ping-pong whose every reply beats a 1 s deadline by far: without
+   withdrawal, 10,000 dead timers would sit in the heap at once and the
+   clock would end 1 s after the last reply. *)
+let test_dead_timers_do_not_pile_up () =
+  let engine = Engine.create () in
+  let requests : int Engine.Mailbox.m = Engine.Mailbox.create () in
+  let replies : int Engine.Mailbox.m = Engine.Mailbox.create () in
+  let n = 10_000 in
+  let answered = ref 0 and last_reply = ref 0.0 in
+  Engine.spawn engine (fun () ->
+      for i = 1 to n do
+        Engine.Mailbox.send requests i;
+        match Engine.Mailbox.recv_timeout replies 1.0 with
+        | Some v when v = i -> incr answered
+        | Some _ | None -> ()
+      done);
+  Engine.spawn engine (fun () ->
+      for _ = 1 to n do
+        let i = Engine.Mailbox.recv requests in
+        Engine.wait 1e-6;
+        last_reply := Engine.time ();
+        Engine.Mailbox.send replies i
+      done);
+  Engine.run engine;
+  Alcotest.(check int) "every call answered" n !answered;
+  let peak = Engine.peak_live_events engine in
+  Alcotest.(check bool) (Printf.sprintf "peak live events %d <= 8" peak) true (peak <= 8);
+  Alcotest.(check (float 0.0)) "clock stops at the last reply" !last_reply (Engine.now engine)
+
+(* N processes park in [suspend_timeout]; each gets a wake at a random
+   instant before its deadline, after it, or never. Times are distinct
+   integers (in ms), so no two events tie. Every process must resume
+   exactly once, at min(timeout, wake), with [Some i] exactly when its wake
+   came first, and the resumptions must come back in time order. *)
+let timeouts_resolve_in_order plan =
+  let n = List.length plan in
+  let engine = Engine.create () in
+  let wakers = Array.make n None in
+  let log = ref [] in
+  (* Process i's instants are v * (2n + 1) + 2i (timeout) and + 2i + 1
+     (wake): distinct across processes and from each other. *)
+  let ms v k = float_of_int ((v * ((2 * n) + 1)) + k) *. 1e-3 in
+  List.iteri
+    (fun i (tv, wake) ->
+      let timeout = ms tv (2 * i) in
+      Engine.spawn engine (fun () ->
+          let r = Engine.suspend_timeout timeout (fun w -> wakers.(i) <- Some w) in
+          log := (i, Engine.time (), r) :: !log);
+      Option.iter
+        (fun wv ->
+          Engine.schedule engine (ms wv ((2 * i) + 1)) (fun () ->
+              Option.iter (fun w -> Engine.wake w i) wakers.(i)))
+        wake)
+    plan;
+  Engine.run engine;
+  let log = List.rev !log in
+  let times = List.map (fun (_, t, _) -> t) log in
+  List.length log = n
+  && List.sort compare times = times
+  && List.for_all
+       (fun (i, t, r) ->
+         let tv, wake = List.nth plan i in
+         let timeout = ms tv (2 * i) in
+         let count = List.length (List.filter (fun (j, _, _) -> j = i) log) in
+         match wake with
+         | Some wv when ms wv ((2 * i) + 1) < timeout ->
+             count = 1 && t = ms wv ((2 * i) + 1) && r = Some i
+         | Some _ | None -> count = 1 && t = timeout && r = None)
+       log
+
+let prop_timeouts_resolve_in_order =
+  QCheck.Test.make ~name:"suspend_timeout resolves at min(timeout, wake)" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 1 40)
+        (pair (int_range 1 50) (option (int_range 1 50))))
+    timeouts_resolve_in_order
+
+(* Timers due at one instant fire in the order they were set, even when
+   withdrawn timers set in between had to be pulled out of the heap. *)
+let test_same_instant_fifo_across_cancel () =
+  let engine = Engine.create () in
+  let wakers = Hashtbl.create 4 in
+  let log = ref [] in
+  List.iter
+    (fun name ->
+      Engine.spawn engine (fun () ->
+          let r = Engine.suspend_timeout 1.0 (fun w -> Hashtbl.replace wakers name w) in
+          log := (name, Engine.time (), r = None) :: !log))
+    [ "a"; "x"; "b"; "y"; "c" ];
+  Engine.schedule engine 0.5 (fun () ->
+      Engine.wake (Hashtbl.find wakers "x") ();
+      Engine.wake (Hashtbl.find wakers "y") ());
+  Engine.run engine;
+  Alcotest.(check (list (triple string (float 0.0) bool)))
+    "woken first, then same-instant timeouts in FIFO order"
+    [
+      ("x", 0.5, false);
+      ("y", 0.5, false);
+      ("a", 1.0, true);
+      ("b", 1.0, true);
+      ("c", 1.0, true);
+    ]
+    (List.rev !log)
+
 let () =
   Alcotest.run "sim"
     [
@@ -275,6 +385,11 @@ let () =
           Alcotest.test_case "double wake" `Quick test_double_wake_ignored;
           Alcotest.test_case "timeout fires" `Quick test_suspend_timeout_fires;
           Alcotest.test_case "timeout beaten" `Quick test_suspend_timeout_wakes;
+          Alcotest.test_case "dead timers do not pile up" `Quick test_dead_timers_do_not_pile_up;
+          Alcotest.test_case "same-instant fifo across cancel" `Quick
+            test_same_instant_fifo_across_cancel;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7331 |])
+            prop_timeouts_resolve_in_order;
         ] );
       ( "ivar",
         [
