@@ -25,10 +25,10 @@
    `--update-baselines` rewrites the baseline from the current run;
    `--check-json FILE` gates a previously saved --json document without
    re-running any simulation. `--apps a,b` restricts the registry-wide
-   experiments (fig5/fig7/fig8/errors/ablation/scorecards) to those apps.
-   `--chaos` (or the `chaos` experiment name) additionally validates each
-   app under the three canonical fault plans and records failure-fidelity
-   metrics in the --json document's "chaos" section. *)
+   experiments (fig5/fig7/fig8/errors/ablation/scorecards/scenarios) to
+   those apps. The opt-in `scenarios` experiment validates each app off
+   steady state (canonical fault plans, a flash crowd) and records the
+   fidelity keys in the --json document's "scenarios" section. *)
 
 open Ditto_app
 module Pipeline = Ditto_core.Pipeline
@@ -198,12 +198,9 @@ let clone_cost = function
   | "redis" -> 9.0
   | _ -> 30.0
 
-let preclone_secs = ref 0.0
-
 let preclone names =
   let names = List.filter (fun n -> not (Hashtbl.mem clones n)) names in
   if names <> [] then begin
-    let t0 = wall () in
     Printf.printf "[clone] cloning %d app(s) on %d domain(s)...\n%!" (List.length names)
       (Ditto_util.Pool.size pool);
     let names =
@@ -227,8 +224,7 @@ let preclone names =
           names;
         (* Claim every future here so clone wall-clock is attributed to the
            preclone stage, not to whichever experiment touches it first. *)
-        List.iter (fun name -> ignore (claim_future name)) names);
-    preclone_secs := wall () -. t0
+        List.iter (fun name -> ignore (claim_future name)) names)
   end
 
 (* {1 E1 error accumulator (fed by fig5)} *)
@@ -806,16 +802,30 @@ let scorecards () =
       Hashtbl.replace scorecards_tbl name card)
     (registry_entries ())
 
-(* {1 Chaos: fidelity under failure (bench --chaos)} *)
+(* {1 Scenarios: fidelity off steady state (bench scenarios)}
+
+   Per app, one validation per scenario, each with the recorder its views
+   read: steady state with request tracing (critpath keys), each canonical
+   fault plan with windowed telemetry (chaos keys, and timeline keys from
+   kill-mid-tier), and the flash crowd composed with kill-mid-tier
+   (surge keys). The keys, "<view>/<app>/<scenario>/...", land in the
+   --json document's "scenarios" section and, through Baseline.flatten,
+   in the regression gate. *)
 
 module Plan = Ditto_fault.Plan
+module Scenario = Ditto_core.Scenario
 
-(* Flat "<app>/<plan>/<metric>" keys fed into the --json document's "chaos"
-   section and, through Baseline.flatten, into the regression gate. *)
-let chaos_acc : (string * float) list ref = ref []
+let scenario_keys : (string * float) list ref = ref []
 
-let chaos () =
-  banner "Chaos: fidelity under failure (canonical plans, medium load)";
+(* Recorder flags are global but the collectors are per-run, so
+   concurrent runs do not interfere; raising a flag only around the runs
+   that read it keeps every other stage from paying collector
+   allocations. *)
+let telemetry = Ditto_obs.Timeseries.(enable, disable)
+let tracing = Ditto_obs.Reqtrace.(enable, disable)
+
+let scenarios () =
+  banner "Scenarios: steady critical paths, canonical fault plans, flash crowd (medium load)";
   List.iter
     (fun (entry : Registry.entry) ->
       let name = entry.Registry.name in
@@ -823,146 +833,63 @@ let chaos () =
       let tiers =
         List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
       in
+      let run (enable, disable) sc =
+        enable ();
+        Fun.protect ~finally:disable (fun () ->
+            Pipeline.run ~pool ~platform:Platform.a ~load
+              ~label:(fmt "scenario:%s" (Scenario.name sc))
+              sc result)
+      in
+      let keep view flat =
+        scenario_keys := List.map (fun (k, v) -> (view ^ "/" ^ k, v)) flat @ !scenario_keys
+      in
+      let steady = run tracing Scenario.steady in
+      let d = Ditto_report.Critpath.of_comparison ~app:name steady.Pipeline.comparison in
+      Ditto_report.Critpath.print d;
+      keep "critpath" (Ditto_report.Critpath.flat d);
       List.iter
         (fun plan ->
-          let ch =
-            Pipeline.validate_under ~pool ~platform:Platform.a ~load ~plan
-              ~label:(fmt "chaos:%s" plan.Plan.plan_name)
-              result
-          in
+          let ch = run telemetry (Scenario.make ~plan ()) in
           let card = Scorecard.of_chaos ~app:name ?tuning:result.Pipeline.tuning ch in
           Scorecard.print card;
-          let fail_delta metric =
+          let deltas =
             match card.Scorecard.failure with
-            | None -> 0.0
-            | Some f -> (
-                match
-                  List.find_opt
-                    (fun (r : Scorecard.failure_row) -> r.Scorecard.f_metric = metric)
-                    f.Scorecard.failure_rows
-                with
-                | Some r -> r.Scorecard.f_delta
-                | None -> 0.0)
+            | None -> []
+            | Some f ->
+                List.map
+                  (fun (r : Scorecard.failure_row) -> (r.Scorecard.f_metric, r.Scorecard.f_delta))
+                  f.Scorecard.failure_rows
           in
+          let fail_delta metric = Option.value ~default:0.0 (List.assoc_opt metric deltas) in
           let key metric = fmt "%s/%s/%s" name plan.Plan.plan_name metric in
-          chaos_acc :=
-            (key "throughput_err_pct", fail_delta "throughput")
-            :: (key "p99_err_pct", fail_delta "lat_p99")
-            :: (key "error_rate_pp", fail_delta "error_rate")
-            :: !chaos_acc)
-        (Plan.canonical ~duration ~tiers))
+          keep "chaos"
+            [
+              (key "throughput_err_pct", fail_delta "throughput");
+              (key "p99_err_pct", fail_delta "lat_p99");
+              (key "error_rate_pp", fail_delta "error_rate");
+            ];
+          if plan.Plan.plan_name = "kill-mid-tier" then begin
+            let c = ch.Pipeline.comparison in
+            let tl =
+              Ditto_report.Timeline.of_timelines ~app:name ~plan:plan.Plan.plan_name
+                ~actual:(Option.get c.Pipeline.actual_service.Service.timeline)
+                ~clone:(Option.get c.Pipeline.synthetic_service.Service.timeline)
+                ()
+            in
+            Ditto_report.Timeline.print tl;
+            keep "timeline" (Ditto_report.Timeline.flat tl)
+          end)
+        (Plan.canonical ~duration ~tiers);
+      let surge =
+        Scenario.make
+          ~plan:(Plan.kill_mid_tier ~duration ~tiers ())
+          ~profile:(Ditto_loadgen.Profile.flash_crowd ~duration ())
+          ()
+      in
+      let sc = Ditto_report.Surge.of_chaos ~app:name (run telemetry surge) in
+      Ditto_report.Surge.print sc;
+      keep "surge" (Ditto_report.Surge.flat sc))
     (registry_entries ())
-
-(* {1 Timeline: transient fidelity from windowed telemetry (bench timeline)} *)
-
-(* Flat "<app>/<plan>/<metric>" keys for the --json "timeline" section
-   (schema v7), gated like the chaos keys. *)
-let timeline_acc : (string * float) list ref = ref []
-
-let timeline () =
-  banner "Timeline: transient fidelity under kill-mid-tier (windowed telemetry)";
-  (* The enable flag is global; validate_under runs both sides on this
-     pool, and the collectors are per-run, so concurrent runs do not
-     interfere — but scope the flag tightly anyway so unrelated stages
-     never pay collector allocations. *)
-  Ditto_obs.Timeseries.enable ();
-  Fun.protect ~finally:Ditto_obs.Timeseries.disable (fun () ->
-      List.iter
-        (fun (entry : Registry.entry) ->
-          let name = entry.Registry.name in
-          let load, result = get_clone name in
-          let tiers =
-            List.map
-              (fun (t : Spec.tier) -> t.Spec.tier_name)
-              result.Pipeline.original.Spec.tiers
-          in
-          let plan = Plan.kill_mid_tier ~duration ~tiers () in
-          let ch =
-            Pipeline.validate_under ~pool ~platform:Platform.a ~load ~plan
-              ~label:(fmt "timeline:%s" plan.Plan.plan_name)
-              result
-          in
-          match
-            ( ch.Pipeline.actual_service.Ditto_app.Service.timeline,
-              ch.Pipeline.synthetic_service.Ditto_app.Service.timeline )
-          with
-          | Some actual, Some clone ->
-              let tl =
-                Ditto_report.Timeline.of_timelines ~app:name ~plan:plan.Plan.plan_name
-                  ~actual ~clone ()
-              in
-              Ditto_report.Timeline.print tl;
-              timeline_acc := Ditto_report.Timeline.flat tl @ !timeline_acc
-          | _ -> Printf.printf "  %s: no timeline collected (telemetry disabled?)\n" name)
-        (registry_entries ()))
-
-(* {1 Critpath: critical-path divergence from request tracing (bench critpath)} *)
-
-(* Flat "critpath/<app>/<plan>/..." keys for the --json "critpath" section
-   (schema v8), gated like the timeline keys. *)
-let critpath_acc : (string * float) list ref = ref []
-
-let critpath () =
-  banner "Critpath: critical-path divergence from sampled request traces";
-  (* Same flag discipline as the timeline stage: the enable flag is
-     global but the collectors are per-run, so scope it tightly. *)
-  Ditto_obs.Reqtrace.enable ();
-  Fun.protect ~finally:Ditto_obs.Reqtrace.disable (fun () ->
-      List.iter
-        (fun (entry : Registry.entry) ->
-          let name = entry.Registry.name in
-          let load, result = get_clone name in
-          let c =
-            Pipeline.validate ~pool ~platform:Platform.a ~load
-              ~label:(fmt "critpath:%s" name) result
-          in
-          match
-            ( c.Pipeline.actual_service.Ditto_app.Service.reqtrace,
-              c.Pipeline.synthetic_service.Ditto_app.Service.reqtrace )
-          with
-          | Some _, Some _ ->
-              let d = Ditto_report.Critpath.of_comparison ~app:name c in
-              Ditto_report.Critpath.print d;
-              critpath_acc := Ditto_report.Critpath.flat d @ !critpath_acc
-          | _ -> Printf.printf "  %s: no request traces collected (tracing disabled?)\n" name)
-        (registry_entries ()))
-
-(* {1 Surge: overload fidelity under a flash crowd (bench surge)} *)
-
-(* Flat "<app>/<scenario>/<metric>" keys for the --json "surge" section
-   (schema v9), gated like the timeline keys. *)
-let surge_acc : (string * float) list ref = ref []
-
-let surge () =
-  banner "Surge: overload fidelity (flash crowd + kill-mid-tier, autoscaling armed)";
-  (* Same flag discipline as the timeline stage. The queue bound is tight
-     enough that the 4x flash crowd actually sheds, so the saturation-onset
-     and shed-rate keys measure something on every app. *)
-  Ditto_obs.Timeseries.enable ();
-  Fun.protect ~finally:Ditto_obs.Timeseries.disable (fun () ->
-      List.iter
-        (fun (entry : Registry.entry) ->
-          let name = entry.Registry.name in
-          let load, result = get_clone name in
-          let tiers =
-            List.map
-              (fun (t : Spec.tier) -> t.Spec.tier_name)
-              result.Pipeline.original.Spec.tiers
-          in
-          let plan = Plan.kill_mid_tier ~duration ~tiers () in
-          let profile = Ditto_loadgen.Profile.flash_crowd ~duration () in
-          let ch =
-            Pipeline.validate_under ~pool ~platform:Platform.a ~load
-              ~resilience:(Spec.resilient ~queue_bound:48 ())
-              ~autoscale:(Spec.autoscale ~max_replicas:4 ())
-              ~plan ~profile
-              ~label:(fmt "surge:%s" name)
-              result
-          in
-          let sc = Ditto_report.Surge.of_chaos ~app:name ch in
-          Ditto_report.Surge.print sc;
-          surge_acc := Ditto_report.Surge.flat sc @ !surge_acc)
-        (registry_entries ()))
 
 (* {1 Perf smoke: the warm-memo fast path (gated by bin/ci.sh)} *)
 
@@ -1059,13 +986,11 @@ let all_experiments =
     ("micro", micro);
   ]
 
-(* Off the default path: chaos arms faults and resilience; timeline adds
-   windowed telemetry on top; perfsmoke is the CI warm-memo gate.
-   Reachable by experiment name (or --chaos). *)
+(* Off the default path, reachable by experiment name: scenarios arms
+   faults, surges and resilience; perfsmoke is the CI warm-memo gate. *)
 let opt_in_experiments =
   [
-    ("chaos", chaos); ("timeline", timeline); ("critpath", critpath);
-    ("surge", surge);
+    ("scenarios", scenarios);
     ("perfsmoke", perfsmoke);
     ("synth100", synth100); ("synth500", synth500); ("synth1000", synth1000);
   ]
@@ -1074,8 +999,7 @@ let opt_in_experiments =
    build exactly those concurrently before the (ordered, printing)
    experiment loop starts. fig11 and micro build their own specs. *)
 let clone_needs = function
-  | "fig5" | "fig7" | "fig8" | "errors" | "ablation" | "scorecards" | "chaos" | "timeline"
-  | "critpath" | "surge" ->
+  | "fig5" | "fig7" | "fig8" | "errors" | "ablation" | "scorecards" | "scenarios" ->
       List.map (fun (e : Registry.entry) -> e.Registry.name) (registry_entries ())
   | "fig6" -> [ "social_network" ]
   | "fig9" -> [ "mongodb" ]
@@ -1088,11 +1012,19 @@ module Bench_json = Ditto_report.Bench_json
 
 let default_baseline_path = "bench/baselines/default.json"
 
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read_json path = Ditto_util.Jsonx.of_string (In_channel.with_open_text path In_channel.input_all)
+
+(* Merge [current] into the baseline file (keeping its tolerances): a
+   partial run (--apps, a scenarios-only pass) refreshes its slice without
+   discarding everyone else's metrics. *)
+let write_baseline ~baseline_path current =
+  let next =
+    if Sys.file_exists baseline_path then
+      Baseline.merge ~into:(Baseline.load baseline_path) current
+    else Baseline.make current
+  in
+  Baseline.save ~path:baseline_path next;
+  Printf.printf "[bench] wrote baseline %s\n" baseline_path
 
 (* Diff [current] (flattened metrics) against the baseline file; prints the
    verdict and returns false on regression. *)
@@ -1130,20 +1062,23 @@ let run_check ~baseline_path current =
     else baseline
   in
   let regressions, checked = Baseline.diff baseline current in
-  match regressions with
-  | [] ->
-      Printf.printf "[bench] check OK: %d metric(s) within tolerance of %s\n" checked
-        baseline_path;
-      true
-  | regs ->
-      Printf.printf "[bench] check FAILED: %d of %d metric(s) regressed vs %s\n"
-        (List.length regs) checked baseline_path;
-      List.iter
-        (fun (r : Baseline.regression) ->
-          Printf.printf "  %-45s %.2f%% -> %.2f%% (allowed +%.1fpp)\n" r.Baseline.key
-            r.Baseline.baseline r.Baseline.current r.Baseline.allowed_pp)
-        regs;
-      false
+  let missing = Baseline.missing baseline current in
+  if regressions = [] && missing = [] then begin
+    Printf.printf "[bench] check OK: %d metric(s) within tolerance of %s\n" checked
+      baseline_path;
+    true
+  end
+  else begin
+    Printf.printf "[bench] check FAILED: %d of %d metric(s) regressed, %d missing vs %s\n"
+      (List.length regressions) checked (List.length missing) baseline_path;
+    List.iter
+      (fun (r : Baseline.regression) ->
+        Printf.printf "  %-45s %.2f%% -> %.2f%% (allowed +%.1fpp)\n" r.Baseline.key
+          r.Baseline.baseline r.Baseline.current r.Baseline.allowed_pp)
+      regressions;
+    List.iter (Printf.printf "  %-45s missing from this run\n") missing;
+    false
+  end
 
 let () =
   let t0 = wall () in
@@ -1153,7 +1088,6 @@ let () =
   and check = ref false
   and baseline_file = ref None
   and update_baselines = ref false
-  and chaos_flag = ref false
   and check_json = ref None
   and update_json = ref None in
   let rec parse_args acc = function
@@ -1185,9 +1119,6 @@ let () =
     | "--update-baselines" :: rest ->
         update_baselines := true;
         parse_args acc rest
-    | "--chaos" :: rest ->
-        chaos_flag := true;
-        parse_args acc rest
     | [ ("--json" | "--trace" | "--trace-jaeger" | "--apps" | "--baseline" | "--check-json"
         | "--update-baselines-json") as
         flag ] ->
@@ -1202,20 +1133,12 @@ let () =
   (match !update_json with
   | None -> ()
   | Some path ->
-      let doc = Ditto_util.Jsonx.of_string (read_file path) in
-      let next =
-        if Sys.file_exists baseline_path then
-          Baseline.merge ~into:(Baseline.load baseline_path) (Baseline.flatten doc)
-        else Baseline.make (Baseline.flatten doc)
-      in
-      Baseline.save ~path:baseline_path next;
-      Printf.printf "[bench] wrote baseline %s\n" baseline_path;
+      write_baseline ~baseline_path (Baseline.flatten (read_json path));
       exit 0);
   (match !check_json with
   | None -> ()
   | Some path ->
-      let doc = Ditto_util.Jsonx.of_string (read_file path) in
-      exit (if run_check ~baseline_path (Baseline.flatten doc) then 0 else 1));
+      exit (if run_check ~baseline_path (Baseline.flatten (read_json path)) then 0 else 1));
   if !trace_file <> None || !trace_jaeger_file <> None then Obs.enable ();
   let trace_file = !trace_file and trace_jaeger_file = !trace_jaeger_file in
   let selected =
@@ -1232,11 +1155,6 @@ let () =
                      (List.map fst (all_experiments @ opt_in_experiments)));
                 exit 2)
           names
-  in
-  let selected =
-    if !chaos_flag && not (List.mem_assoc "chaos" selected) then
-      selected @ [ ("chaos", chaos) ]
-    else selected
   in
   (* Per-stage scheduling telemetry: wall seconds, the parallelism degree
      offered, and busy/(domains x wall) — the fraction of the stage's
@@ -1307,10 +1225,7 @@ let () =
              tuning;
              metrics = Obs.Metrics.snapshot ();
              scorecards = cards;
-             chaos = List.sort compare !chaos_acc;
-             timeline = List.sort compare !timeline_acc;
-             critpath = List.sort compare !critpath_acc;
-             surge = List.sort compare !surge_acc;
+             scenarios = List.sort compare !scenario_keys;
              peak_heap_events = Ditto_sim.Engine.global_peak_heap_events ();
              tier_counts =
                Hashtbl.fold
@@ -1330,42 +1245,13 @@ let () =
       Printf.printf "[bench] wrote %s\n" path
   | _ -> ());
   (match (!update_baselines, doc) with
-  | true, Some json ->
-      (* Merge into the committed baseline (keeping its tolerances): a
-         partial run — --apps, a chaos-only pass — refreshes its slice
-         without discarding everyone else's metrics. *)
-      let next =
-        if Sys.file_exists baseline_path then
-          Baseline.merge ~into:(Baseline.load baseline_path) (Baseline.flatten json)
-        else Baseline.make (Baseline.flatten json)
-      in
-      Baseline.save ~path:baseline_path next;
-      Printf.printf "[bench] wrote baseline %s\n" baseline_path
+  | true, Some json -> write_baseline ~baseline_path (Baseline.flatten json)
   | _ -> ());
   let check_ok =
     match (!check, doc) with
     | true, Some json -> run_check ~baseline_path (Baseline.flatten json)
     | _ -> true
   in
-  (match (trace_file, trace_jaeger_file) with
-  | None, None -> ()
-  | trace, jaeger ->
-      let nspans = List.length (Obs.Export.spans ()) in
-      (match trace with
-      | Some path ->
-          Obs.Export.write_chrome path;
-          Printf.printf "[bench] wrote %s (%d spans, %d dropped)\n" path nspans
-            (Obs.Export.dropped ())
-      | None -> ());
-      let jaeger_path =
-        match (jaeger, trace) with
-        | Some p, _ -> Some p
-        | None, Some p -> Some (p ^ ".jaeger.json")
-        | None, None -> None
-      in
-      (match jaeger_path with
-      | Some path ->
-          Obs.Export.write_jaeger path;
-          Printf.printf "[bench] wrote %s\n" path
-      | None -> ()));
+  Obs.Export.write_files ~log:(Printf.printf "[bench] %s\n") ?chrome:trace_file
+    ?jaeger:trace_jaeger_file ();
   if not check_ok then exit 1

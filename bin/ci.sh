@@ -1,18 +1,17 @@
 #!/bin/sh
 # Tier-1 gate: full build, the 23 test suites, a benchmark smoke run, a
 # self-tracing smoke test (Chrome + Jaeger exports re-parsed via Jsonx), a
-# sampled-profiler smoke test, a chaos smoke test (fault injection +
-# resilience counters), a synth scaling smoke (100-tier generated graph
-# cloned + validated under a wall budget), a timeline smoke (windowed
-# telemetry + transient-fidelity scorecard + OpenMetrics export), a
-# critpath smoke (request-level critical-path tracing + divergence
-# attribution + Jaeger round-trip), a surge smoke (flash-crowd overload
-# with autoscaling and admission control fired on both sides), a traced
-# surge-memcached perfbench run (its output and determinism checks, and a
-# bound on the live event heap), and
-# the fidelity regression gate
-# (scorecards diffed against the committed baseline, plus a proof that
-# the gate rejects a perturbed baseline).
+# sampled-profiler smoke test, three `ditto_cli scenario` smokes (a
+# kill-mid-tier run: fault injection, resilience counters, windowed
+# telemetry, transient-fidelity scorecard and OpenMetrics export; a
+# steady run: critical-path divergence and a Jaeger round-trip; a flash
+# crowd: autoscaling and admission control fired on both sides), a synth
+# scaling smoke (100-tier generated graph cloned + validated under a wall
+# budget), a traced surge-memcached perfbench run (its output and
+# determinism checks, and a bound on the live event heap), and the
+# fidelity regression gate (scorecard and scenario keys diffed against
+# the committed baseline, plus a proof that the gate rejects a perturbed
+# baseline).
 # Usage: bin/ci.sh   (from the repo root; DITTO_DOMAINS caps the pool)
 set -eu
 
@@ -71,13 +70,19 @@ echo "== profile smoke (collapsed stacks reconcile with measured CPU) =="
 dune exec bin/ditto_cli.exe -- profile redis --out "$tmpdir/redis.folded" --top 5
 test -s "$tmpdir/redis.folded"
 
-echo "== chaos smoke (kill-mid-tier on memcached, resilience counters fired) =="
+echo "== chaos + timeline smoke (kill-mid-tier on memcached) =="
 # The crash plan must actually exercise the resilience machinery: the
 # post-restart backlog sheds requests and the client retry budget is spent,
 # so both counters in the greppable totals line must be non-zero — and the
-# command itself must exit cleanly.
+# command itself must exit cleanly. The same run carries windowed
+# telemetry: it must print the greppable TIMELINE-SMOKE-OK line with a
+# strictly positive reconvergence time (a fault fired, so by construction
+# reconvergence is at least the remainder of the fault window), and the
+# OpenMetrics export must be a complete document (ends with # EOF).
 chaos_log="$tmpdir/chaos.log"
-dune exec bin/ditto_cli.exe -- chaos memcached --only kill-mid-tier --no-tune | tee "$chaos_log"
+om_file="$tmpdir/timeline.om"
+dune exec bin/ditto_cli.exe -- scenario memcached --plan kill-mid-tier --no-tune \
+  --openmetrics "$om_file" | tee "$chaos_log"
 awk '
   /^chaos-totals:/ {
     seen = 1
@@ -93,6 +98,18 @@ awk '
   }
   END { if (!seen) { print "ci: FAIL — no chaos-totals line" > "/dev/stderr"; exit 1 } }
 ' "$chaos_log"
+if ! grep -q "TIMELINE-SMOKE-OK" "$chaos_log"; then
+  echo "ci: FAIL — timeline smoke did not reach TIMELINE-SMOKE-OK" >&2
+  exit 1
+fi
+if ! grep -Eq 'reconverge_ms=[1-9][0-9]*' "$chaos_log"; then
+  echo "ci: FAIL — reconvergence time not strictly positive under a fault plan" >&2
+  exit 1
+fi
+if ! grep -q '^# EOF' "$om_file"; then
+  echo "ci: FAIL — OpenMetrics export incomplete (no # EOF terminator)" >&2
+  exit 1
+fi
 
 echo "== synth scaling smoke (100-tier generated graph, clone + validate) =="
 # A seeded 100-tier production-shaped graph must round-trip through Jaeger
@@ -113,36 +130,15 @@ if [ "$synth_wall" -gt 240 ]; then
   exit 1
 fi
 
-echo "== timeline smoke (windowed telemetry + transient-fidelity scorecard) =="
-# A short kill-mid-tier run on memcached with telemetry on: the command
-# must print the greppable TIMELINE-SMOKE-OK line with a strictly
-# positive reconvergence time (a fault fired, so by construction
-# reconvergence is at least the remainder of the fault window), and the
-# OpenMetrics export must be a complete document (ends with # EOF).
-timeline_log="$tmpdir/timeline.log"
-om_file="$tmpdir/timeline.om"
-dune exec bin/ditto_cli.exe -- timeline memcached --no-tune --openmetrics "$om_file" | tee "$timeline_log"
-if ! grep -q "TIMELINE-SMOKE-OK" "$timeline_log"; then
-  echo "ci: FAIL — timeline smoke did not reach TIMELINE-SMOKE-OK" >&2
-  exit 1
-fi
-if ! grep -Eq 'reconverge_ms=[1-9][0-9]*' "$timeline_log"; then
-  echo "ci: FAIL — reconvergence time not strictly positive under a fault plan" >&2
-  exit 1
-fi
-if ! grep -q '^# EOF' "$om_file"; then
-  echo "ci: FAIL — OpenMetrics export incomplete (no # EOF terminator)" >&2
-  exit 1
-fi
-
 echo "== critpath smoke (critical-path divergence + Jaeger round-trip) =="
-# Request-level tracing on redis: the command must print a top divergence
+# A steady run on redis (request tracing is on in every scenario run): the
+# command must print a top divergence
 # row (CRITPATH worst=...) and the greppable CRITPATH-SMOKE-OK line, and
 # the Jaeger export of the sampled traces must re-ingest cleanly through
 # inspect-trace (non-empty roots report, client entry tier in the DAG).
 critpath_log="$tmpdir/critpath.log"
 critpath_jaeger="$tmpdir/critpath.jaeger.json"
-dune exec bin/ditto_cli.exe -- critpath redis --no-tune --jaeger "$critpath_jaeger" | tee "$critpath_log"
+dune exec bin/ditto_cli.exe -- scenario redis --no-tune --jaeger "$critpath_jaeger" | tee "$critpath_log"
 if ! grep -q "CRITPATH-SMOKE-OK" "$critpath_log"; then
   echo "ci: FAIL — critpath smoke did not reach CRITPATH-SMOKE-OK" >&2
   exit 1
@@ -170,7 +166,7 @@ echo "== surge smoke (flash crowd on memcached, autoscaling + shedding fired) ==
 # the transient scorecard — and the command must exit cleanly with the
 # greppable SURGE-SMOKE-OK line.
 surge_log="$tmpdir/surge.log"
-dune exec bin/ditto_cli.exe -- surge memcached --profile flash-crowd --no-tune | tee "$surge_log"
+dune exec bin/ditto_cli.exe -- scenario memcached --profile flash-crowd --no-tune | tee "$surge_log"
 if ! grep -q "SURGE-SMOKE-OK" "$surge_log"; then
   echo "ci: FAIL — surge smoke did not reach SURGE-SMOKE-OK" >&2
   exit 1
@@ -211,9 +207,12 @@ if peak > 1000:
 print("sim.peak_heap_events %d <= 1000" % peak)
 PY
 
-echo "== scorecard regression gate (vs bench/baselines/default.json) =="
+echo "== scorecard + scenario regression gate (vs bench/baselines/default.json) =="
+# The steady scorecards plus the 48 scenario keys (chaos, timeline,
+# critpath, surge) of redis and memcached; a baseline key the run should
+# have produced but did not fails the gate too.
 bench_json="$tmpdir/bench.json"
-dune exec bench/main.exe -- scorecards --apps redis,memcached --json "$bench_json" --check
+dune exec bench/main.exe -- scorecards scenarios --apps redis,memcached --json "$bench_json" --check
 
 echo "== regression gate rejects a perturbed baseline =="
 # Lower one baseline entry to -100%: any non-negative current error now

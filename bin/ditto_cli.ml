@@ -10,25 +10,22 @@
          export a clone's memory trace in Ramulator format
      ditto-cli stages <app> [--qps N]
          the Fig. 9 decomposition (stages A..H + tuned clone)
-     ditto-cli chaos <app> [--plan FILE] [--only PLAN] [--no-tune] [--qps N]
-         fidelity under failure: run original and clone under a fault plan
-         (default: the three canonical plans) with identical resilience
-         armour, print the failure scorecards and a greppable
-         "chaos-totals:" counter line
-     ditto-cli timeline <app> [--plan FILE] [--no-tune] [--qps N]
-                        [--openmetrics FILE] [--trace FILE]
-         transient fidelity: run original and clone under a fault plan
-         (default: kill-mid-tier) with windowed DES-clock telemetry,
-         print the per-window scorecard with time-to-reconvergence and a
-         greppable "TIMELINE-SMOKE-OK" line; optionally export the
-         timelines as OpenMetrics text or Chrome counter events
-     ditto-cli critpath <app> [--plan FILE] [--no-tune] [--qps N] [--jaeger FILE]
-         request-level critical-path tracing: run original and clone with
-         deterministic request sampling, extract each sampled request's
-         critical path, and print the actual-vs-clone divergence scorecard
-         (tier x segment contribution errors) with a greppable
-         "CRITPATH-SMOKE-OK" line; optionally export the actual side's
-         sampled span trees as Jaeger JSON (re-ingestable by inspect-trace)
+     ditto-cli scenario <app> [--plan NAME|FILE] [--profile NAME|FILE]
+                        [--queue-bound N] [--openmetrics FILE] [--jaeger FILE]
+                        [--trace FILE] [--no-tune] [--qps N]
+         validate the clone under one scenario: steady state (no options),
+         a fault plan, an open-loop surge profile (which arms autoscaling
+         and an N-deep shed threshold, default 48), or both composed.
+         Windowed telemetry and request sampling are on for both sides.
+         Prints the scorecard (with a failure section and a greppable
+         "chaos-totals:" line off steady state), the transient timeline
+         under a plan ("TIMELINE-SMOKE-OK"), the critical-path divergence
+         ("CRITPATH-SMOKE-OK") and the surge scorecard under a profile
+         ("SURGE-SMOKE-OK"); optionally exports both timelines as
+         OpenMetrics text, the actual side's sampled request trees as
+         Jaeger JSON (re-ingestable by inspect-trace), and the pipeline
+         spans plus timeline counter tracks as a Chrome trace. Bad plan or
+         profile inputs exit 2.
      ditto-cli inspect-trace <trace.json>
          parse a Chrome or Jaeger trace back and summarise it
          (span counts, counter series min/mean/max, all roots with
@@ -54,32 +51,9 @@ let with_tracing trace trace_jaeger f =
   if trace = None && trace_jaeger = None then f ()
   else begin
     Obs.enable ();
-    let finish () =
-      (match trace with
-      | Some path ->
-          Obs.Export.write_chrome path;
-          Printf.printf "trace: wrote %s (%d spans, %d dropped)\n" path
-            (List.length (Obs.Export.spans ()))
-            (Obs.Export.dropped ())
-      | None -> ());
-      match
-        match (trace_jaeger, trace) with
-        | Some p, _ -> Some p
-        | None, Some p -> Some (p ^ ".jaeger.json")
-        | None, None -> None
-      with
-      | Some path ->
-          Obs.Export.write_jaeger path;
-          Printf.printf "trace: wrote %s\n" path
-      | None -> ()
-    in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
+    Fun.protect f ~finally:(fun () ->
+        Obs.Export.write_files ~log:(Printf.printf "trace: %s\n") ?chrome:trace
+          ?jaeger:trace_jaeger ())
   end
 
 let load_for name qps duration =
@@ -160,365 +134,143 @@ let stages_app name qps trace trace_jaeger =
     ~header:[ "stage"; "IPC"; "p99 ms" ]
     rows
 
-(* Fidelity under failure: clone, then run original and clone side by side
-   under a fault plan (the three canonical plans, a --plan file, or the one
-   selected by --only) with identical resilience armour, and print the
-   failure scorecards. The final "chaos-totals:" line aggregates the
-   resilience counters of every run (both sides) so CI can grep-assert the
-   chaos machinery actually fired. *)
-let chaos_app name qps no_tune plan_file only trace trace_jaeger =
-  let module Plan = Ditto_fault.Plan in
-  with_tracing trace trace_jaeger @@ fun () ->
-  let entry, load = load_for name qps 0.8 in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
-  in
-  Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-  in
-  let plans =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~tiers p;
-          p
-        with
-        | p -> [ p ]
-        | exception Sys_error msg ->
-            Printf.eprintf "chaos: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "chaos: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "chaos: %s: %s\n" path msg;
-            exit 2)
-    | None -> Plan.canonical ~duration:load.Service.duration ~tiers
-  in
-  let plans =
-    match only with
-    | None -> plans
-    | Some sel -> (
-        match List.filter (fun (p : Plan.t) -> p.Plan.plan_name = sel) plans with
-        | [] ->
-            Printf.eprintf "chaos: no plan named %S (have: %s)\n" sel
-              (String.concat ", " (List.map (fun (p : Plan.t) -> p.Plan.plan_name) plans));
-            exit 2
-        | ps -> ps)
-  in
-  let shed = ref 0 and retries = ref 0 and timeouts = ref 0 in
-  let errors = ref 0 and drops = ref 0 in
-  let tally (r : Service.result) =
-    errors := !errors + r.Service.errors;
-    retries := !retries + r.Service.client_retries;
-    timeouts := !timeouts + r.Service.client_timeouts;
-    List.iter
-      (fun (o : Service.tier_obs) ->
-        shed := !shed + o.Service.obs_shed;
-        retries := !retries + o.Service.obs_retries;
-        timeouts := !timeouts + o.Service.obs_timeouts;
-        drops := !drops + o.Service.obs_link_drops)
-      r.Service.tiers
-  in
-  List.iter
-    (fun (plan : Plan.t) ->
-      let ch =
-        Pipeline.validate_under ~platform:Platform.a ~load ~plan
-          ~label:(Printf.sprintf "chaos:%s" plan.Plan.plan_name)
-          result
-      in
-      Ditto_report.Scorecard.print
-        (Ditto_report.Scorecard.of_chaos ~app:name ?tuning:result.Pipeline.tuning ch);
-      tally ch.Pipeline.actual_service;
-      tally ch.Pipeline.synthetic_service)
-    plans;
-  Printf.printf "chaos-totals: shed=%d retries=%d timeouts=%d errors=%d drops=%d\n" !shed
-    !retries !timeouts !errors !drops
-
-(* Transient fidelity: clone the app, enable the windowed telemetry layer,
-   run original and clone side by side under one fault plan, and print the
-   per-window scorecard (worst/mean window error, time-to-reconvergence).
-   The closing "TIMELINE-SMOKE-OK" line is what CI greps; reconverge_ms is
-   nonzero whenever the plan fired a fault (reconvergence is measured to
-   the end of a window, never less than the remainder of the fault
-   window). *)
-let timeline_app name qps no_tune plan_file openmetrics trace =
-  let module Plan = Ditto_fault.Plan in
+(* One validation scenario: clone the app, then run original and clone
+   side by side under the scenario (steady state, a --plan fault plan, a
+   --profile open-loop surge, or both composed) with windowed telemetry
+   and request sampling on, and print every view that applies:
+   - the scorecard, plus the failure section and a greppable
+     "chaos-totals:" line (the resilience counters of both sides) when
+     the scenario arms armour;
+   - the transient-fidelity timeline ("TIMELINE-SMOKE-OK") under a fault
+     plan;
+   - the critical-path divergence ("CRITPATH-SMOKE-OK");
+   - the surge-fidelity scorecard ("SURGE-SMOKE-OK") under a profile; its
+     table embeds the timeline.
+   Bad --plan/--profile inputs exit 2 before any cloning starts. *)
+let scenario_app name qps no_tune plan profile queue_bound openmetrics jaeger trace =
+  let module Scenario = Ditto_core.Scenario in
   let module Ts = Ditto_obs.Timeseries in
-  let module Tl = Ditto_report.Timeline in
-  let module J = Ditto_util.Jsonx in
-  if trace <> None then Obs.enable ();
-  let entry, load = load_for name qps 0.8 in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
-  in
-  Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-  in
-  let plan =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~tiers p;
-          p
-        with
-        | p -> p
-        | exception Sys_error msg ->
-            Printf.eprintf "timeline: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "timeline: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "timeline: %s: %s\n" path msg;
-            exit 2)
-    | None -> Plan.kill_mid_tier ~duration:load.Service.duration ~tiers ()
-  in
-  Ts.enable ();
-  let ch =
-    Fun.protect ~finally:Ts.disable (fun () ->
-        Pipeline.validate_under ~platform:Platform.a ~load ~plan
-          ~label:(Printf.sprintf "timeline:%s" plan.Plan.plan_name)
-          result)
-  in
-  match
-    ( ch.Pipeline.actual_service.Service.timeline,
-      ch.Pipeline.synthetic_service.Service.timeline )
-  with
-  | Some actual, Some clone ->
-      let tl = Tl.of_timelines ~app:name ~plan:plan.Plan.plan_name ~actual ~clone () in
-      Tl.print tl;
-      (match openmetrics with
-      | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc
-                (Ts.openmetrics
-                   [
-                     ([ ("app", name); ("side", "actual") ], actual);
-                     ([ ("app", name); ("side", "clone") ], clone);
-                   ]));
-          Printf.printf "openmetrics: wrote %s\n" path
-      | None -> ());
-      (match trace with
-      | Some path ->
-          (* Counter tracks (simulated-clock timestamps) land in their own
-             per-side processes next to the wall-clock pipeline spans. *)
-          let counters =
-            Ts.chrome_events ~pid:100 ~process_name:(name ^ " actual (sim time)") actual
-            @ Ts.chrome_events ~pid:101 ~process_name:(name ^ " clone (sim time)") clone
-          in
-          let doc =
-            match Obs.Export.to_chrome () with
-            | J.Obj kvs ->
-                J.Obj
-                  (List.map
-                     (fun (k, v) ->
-                       match (k, v) with
-                       | "traceEvents", J.List evs -> (k, J.List (evs @ counters))
-                       | _ -> (k, v))
-                     kvs)
-            | j -> j
-          in
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc (J.to_string doc));
-          Printf.printf "trace: wrote %s (%d span(s) + %d counter event(s))\n" path
-            (List.length (Obs.Export.spans ()))
-            (List.length counters)
-      | None -> ());
-      Printf.printf
-        "TIMELINE-SMOKE-OK windows=%d worst=%.1f%% mean=%.1f%% reconverge_ms=%d reconverged=%b\n"
-        (List.length tl.Tl.rows) tl.Tl.worst_window_err_pct tl.Tl.mean_window_err_pct
-        (int_of_float (Float.round (tl.Tl.reconverge_seconds *. 1e3)))
-        tl.Tl.reconverged
-  | _ ->
-      Printf.eprintf "timeline: no telemetry collected (Timeseries disabled?)\n";
-      exit 1
-
-(* Request-level critical-path tracing: clone the app, enable deterministic
-   request sampling, run original and clone side by side (steady state, or
-   under a --plan fault file), extract each sampled request's critical
-   path, and print the divergence scorecard ranking tier x segment pairs
-   by contribution error. The closing "CRITPATH-SMOKE-OK" line is what CI
-   greps; --jaeger exports the actual side's sampled span trees in the
-   same Jaeger JSON the inspect-trace command re-ingests. *)
-let critpath_app name qps no_tune plan_file jaeger =
-  let module Plan = Ditto_fault.Plan in
   let module Rq = Ditto_obs.Reqtrace in
-  let module Cp = Ditto_report.Critpath in
-  let entry, load = load_for name qps 0.8 in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
-  in
-  Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-  in
-  let plan =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~tiers p;
-          p
-        with
-        | p -> Some p
-        | exception Sys_error msg ->
-            Printf.eprintf "critpath: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "critpath: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "critpath: %s: %s\n" path msg;
-            exit 2)
-    | None -> None
-  in
-  Rq.enable ();
-  let c =
-    Fun.protect ~finally:Rq.disable (fun () ->
-        match plan with
-        | None -> Pipeline.validate ~platform:Platform.a ~load ~label:"critpath" result
-        | Some plan ->
-            let ch =
-              Pipeline.validate_under ~platform:Platform.a ~load ~plan
-                ~label:(Printf.sprintf "critpath:%s" plan.Plan.plan_name)
-                result
-            in
-            ch.Pipeline.comparison)
-  in
-  match
-    (c.Pipeline.actual_service.Service.reqtrace, c.Pipeline.synthetic_service.Service.reqtrace)
-  with
-  | Some actual, Some clone_rq ->
-      let d =
-        Cp.of_comparison ~app:name
-          ?plan:(Option.map (fun (p : Plan.t) -> p.Plan.plan_name) plan)
-          c
-      in
-      Cp.print d;
-      (match jaeger with
-      | Some path ->
-          Rq.write_jaeger path actual;
-          Printf.printf "jaeger: wrote %s (%d sampled trace(s) of %d request(s))\n" path
-            (Rq.sampled actual) (Rq.requests_seen actual)
-      | None -> ());
-      let worst_s, err =
-        match Cp.worst d with
-        | Some r -> (Printf.sprintf "%s/%s" r.Cp.d_tier r.Cp.d_segment, r.Cp.d_err_pp)
-        | None -> ("none", 0.0)
-      in
-      Printf.printf "CRITPATH-SMOKE-OK actual_traces=%d clone_traces=%d worst=%s err_pp=%+.2f\n"
-        (Rq.sampled actual) (Rq.sampled clone_rq) worst_s err
-  | _ ->
-      Printf.eprintf "critpath: no request traces collected (Reqtrace disabled?)\n";
-      exit 1
-
-(* Overload robustness: clone the app, drive an open-loop surge profile
-   (default flash-crowd; --profile takes a canonical name or a Rate JSON
-   file) against original and clone with autoscaling and load shedding
-   armed — optionally composed with a --plan fault file — and print the
-   surge-fidelity scorecard (shed-rate error, replica-trajectory match,
-   saturation-onset timing). The closing "SURGE-SMOKE-OK" line is what CI
-   greps: scale_out_events and shed_total prove the controller and the
-   shedder actually fired, reconverge_ms that the surge registered as a
-   transient. *)
-let surge_app name qps no_tune profile_sel plan_file queue_bound openmetrics =
-  let module Plan = Ditto_fault.Plan in
-  let module Ts = Ditto_obs.Timeseries in
+  let module Tl = Ditto_report.Timeline in
   let module Sg = Ditto_report.Surge in
-  let module Profile = Ditto_loadgen.Profile in
+  let module Cp = Ditto_report.Critpath in
+  let module J = Ditto_util.Jsonx in
   let entry, load = load_for name qps 0.8 in
+  let original = entry.Registry.spec () in
+  let scenario =
+    match
+      Scenario.load ~queue_bound ~duration:load.Service.duration
+        ~tiers:(List.map (fun (t : Spec.tier) -> t.Spec.tier_name) original.Spec.tiers)
+        ?plan ?profile ()
+    with
+    | Ok s -> s
+    | Error msg ->
+        Printf.eprintf "scenario: %s\n" msg;
+        exit 2
+  in
+  let sc_name = Scenario.name scenario in
+  if trace <> None then Obs.enable ();
   let t0 = Unix.gettimeofday () in
-  let result =
-    Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load (entry.Registry.spec ())
-  in
+  let result = Pipeline.clone ~tune:(not no_tune) ~platform:Platform.a ~load original in
   Printf.printf "cloned %s in %.1fs\n" name (Unix.gettimeofday () -. t0);
-  let tiers =
-    List.map (fun (t : Spec.tier) -> t.Spec.tier_name) result.Pipeline.original.Spec.tiers
-  in
-  let duration = load.Service.duration in
-  let profile =
-    match profile_sel with
-    | None -> Profile.flash_crowd ~duration ()
-    | Some sel when List.mem sel Profile.names -> Profile.by_name ~duration sel
-    | Some path -> (
-        match Profile.load path with
-        | p -> p
-        | exception Sys_error msg ->
-            Printf.eprintf "surge: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2)
-  in
-  let plan =
-    match plan_file with
-    | Some path -> (
-        match
-          let p = Plan.load path in
-          Plan.validate ~duration ~tiers p;
-          p
-        with
-        | p -> Some p
-        | exception Sys_error msg ->
-            Printf.eprintf "surge: %s\n" msg;
-            exit 2
-        | exception Ditto_util.Jsonx.Parse_error msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2
-        | exception Invalid_argument msg ->
-            Printf.eprintf "surge: %s: %s\n" path msg;
-            exit 2)
-    | None -> None
-  in
   Ts.enable ();
+  Rq.enable ();
   let ch =
-    Fun.protect ~finally:Ts.disable (fun () ->
-        Pipeline.validate_under ~platform:Platform.a ~load
-          ~resilience:(Spec.resilient ~queue_bound ())
-          ~autoscale:(Spec.autoscale ())
-          ?plan ~profile
-          ~label:(Printf.sprintf "surge:%s" name)
-          result)
+    Fun.protect
+      ~finally:(fun () ->
+        Ts.disable ();
+        Rq.disable ())
+      (fun () ->
+        Pipeline.run ~platform:Platform.a ~load ~label:("scenario:" ^ sc_name) scenario result)
   in
-  let sc = Sg.of_chaos ~app:name ch in
-  Sg.print sc;
+  let c = ch.Pipeline.comparison in
+  let a_svc = c.Pipeline.actual_service and s_svc = c.Pipeline.synthetic_service in
+  (* Both recorders were on, so both sides carry both collectors. *)
+  let actual = Option.get a_svc.Service.timeline and clone = Option.get s_svc.Service.timeline in
+  let actual_rq = Option.get a_svc.Service.reqtrace
+  and clone_rq = Option.get s_svc.Service.reqtrace in
+  let card = Ditto_report.Scorecard.of_chaos ~app:name ?tuning:result.Pipeline.tuning ch in
+  Ditto_report.Scorecard.print card;
+  if card.Ditto_report.Scorecard.failure <> None then begin
+    (* Resilience counters summed over both sides, client and tiers. *)
+    let sum f = f a_svc + f s_svc in
+    let tiers f = sum (fun r -> List.fold_left (fun acc o -> acc + f o) 0 r.Service.tiers) in
+    Printf.printf "chaos-totals: shed=%d retries=%d timeouts=%d errors=%d drops=%d\n"
+      (tiers (fun o -> o.Service.obs_shed))
+      (sum (fun r -> r.Service.client_retries) + tiers (fun o -> o.Service.obs_retries))
+      (sum (fun r -> r.Service.client_timeouts) + tiers (fun o -> o.Service.obs_timeouts))
+      (sum (fun r -> r.Service.errors))
+      (tiers (fun o -> o.Service.obs_link_drops))
+  end;
+  if scenario.Scenario.plan <> None && scenario.Scenario.profile = None then begin
+    let tl = Tl.of_timelines ~app:name ~plan:sc_name ~actual ~clone () in
+    Tl.print tl;
+    Printf.printf
+      "TIMELINE-SMOKE-OK windows=%d worst=%.1f%% mean=%.1f%% reconverge_ms=%d reconverged=%b\n"
+      (List.length tl.Tl.rows) tl.Tl.worst_window_err_pct tl.Tl.mean_window_err_pct
+      (int_of_float (Float.round (tl.Tl.reconverge_seconds *. 1e3)))
+      tl.Tl.reconverged
+  end;
+  let d = Cp.of_comparison ~app:name ~plan:sc_name c in
+  Cp.print d;
+  let worst_s, err =
+    match Cp.worst d with
+    | Some r -> (Printf.sprintf "%s/%s" r.Cp.d_tier r.Cp.d_segment, r.Cp.d_err_pp)
+    | None -> ("none", 0.0)
+  in
+  Printf.printf "CRITPATH-SMOKE-OK actual_traces=%d clone_traces=%d worst=%s err_pp=%+.2f\n"
+    (Rq.sampled actual_rq) (Rq.sampled clone_rq) worst_s err;
+  if scenario.Scenario.profile <> None then begin
+    let sc = Sg.of_chaos ~app:name ch in
+    Sg.print sc;
+    Printf.printf
+      "SURGE-SMOKE-OK windows=%d worst=%.1f%% shed_err_pp=%.2f scale_out_events=%d \
+       shed_total=%d reconverge_ms=%d\n"
+      (List.length sc.Sg.timeline.Tl.rows)
+      sc.Sg.timeline.Tl.worst_window_err_pct sc.Sg.shed_fraction_err_pp
+      (sc.Sg.scale_out_actual + sc.Sg.scale_out_clone)
+      (sc.Sg.shed_total_actual + sc.Sg.shed_total_clone)
+      (int_of_float (Float.round (sc.Sg.timeline.Tl.reconverge_seconds *. 1e3)))
+  end;
   (match openmetrics with
-  | Some path -> (
-      match
-        ( ch.Pipeline.actual_service.Service.timeline,
-          ch.Pipeline.synthetic_service.Service.timeline )
-      with
-      | Some actual, Some clone ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc
-                (Ts.openmetrics
-                   [
-                     ([ ("app", name); ("side", "actual") ], actual);
-                     ([ ("app", name); ("side", "clone") ], clone);
-                   ]));
-          Printf.printf "openmetrics: wrote %s\n" path
-      | _ -> ())
+  | Some path ->
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc
+            (Ts.openmetrics
+               [ ([ ("app", name); ("side", "actual") ], actual);
+                 ([ ("app", name); ("side", "clone") ], clone) ]));
+      Printf.printf "openmetrics: wrote %s\n" path
   | None -> ());
-  Printf.printf
-    "SURGE-SMOKE-OK windows=%d worst=%.1f%% shed_err_pp=%.2f scale_out_events=%d shed_total=%d \
-     reconverge_ms=%d\n"
-    (List.length sc.Sg.timeline.Ditto_report.Timeline.rows)
-    sc.Sg.timeline.Ditto_report.Timeline.worst_window_err_pct sc.Sg.shed_fraction_err_pp
-    (sc.Sg.scale_out_actual + sc.Sg.scale_out_clone)
-    (sc.Sg.shed_total_actual + sc.Sg.shed_total_clone)
-    (int_of_float
-       (Float.round (sc.Sg.timeline.Ditto_report.Timeline.reconverge_seconds *. 1e3)))
+  (match jaeger with
+  | Some path ->
+      Rq.write_jaeger path actual_rq;
+      Printf.printf "jaeger: wrote %s (%d sampled trace(s) of %d request(s))\n" path
+        (Rq.sampled actual_rq) (Rq.requests_seen actual_rq)
+  | None -> ());
+  match trace with
+  | Some path ->
+      (* Counter tracks (simulated-clock timestamps) land in their own
+         per-side processes next to the wall-clock pipeline spans. *)
+      let counters =
+        Ts.chrome_events ~pid:100 ~process_name:(name ^ " actual (sim time)") actual
+        @ Ts.chrome_events ~pid:101 ~process_name:(name ^ " clone (sim time)") clone
+      in
+      let doc =
+        match Obs.Export.to_chrome () with
+        | J.Obj kvs ->
+            J.Obj
+              (List.map
+                 (function
+                   | "traceEvents", J.List evs -> ("traceEvents", J.List (evs @ counters))
+                   | kv -> kv)
+                 kvs)
+        | j -> j
+      in
+      Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (J.to_string doc));
+      Printf.printf "trace: wrote %s (%d span(s) + %d counter event(s))\n" path
+        (List.length (Obs.Export.spans ()))
+        (List.length counters)
+  | None -> ()
 
 (* Scale round trip: generate a production-shaped graph, export its traces
    through the Jaeger writer, recover the DAG from the re-ingested spans,
@@ -808,38 +560,32 @@ let profile_app name qps original out top period =
 
 let list_apps () =
   (* Committed-gate summary per app: which baseline key families (steady
-     scorecard, chaos, timeline, critpath) and wall budgets the regression
-     gate in bench/baselines/default.json already pins for it. *)
+     scorecard and each scenario view, the first component of a
+     "<family>/<app>/..." key) and wall budgets the regression gate in
+     bench/baselines/default.json already pins for it. *)
   let module Baseline = Ditto_report.Baseline in
-  let baseline =
-    let path = "bench/baselines/default.json" in
-    if Sys.file_exists path then
-      match Baseline.load path with b -> Some b | exception _ -> None
-    else None
+  let keys =
+    match Baseline.load "bench/baselines/default.json" with
+    | b -> Some (List.map (fun (k, _) -> String.split_on_char '/' k) b.Baseline.metrics)
+    | exception _ -> None
   in
   let gates name =
-    match baseline with
+    match keys with
     | None -> "(no baseline)"
-    | Some b ->
-        let keys = List.map fst b.Baseline.metrics in
-        let has prefix = List.exists (fun k -> String.starts_with ~prefix k) keys in
-        let fams =
-          List.filter_map
-            (fun (label, prefix) -> if has prefix then Some label else None)
-            [
-              ("scorecard", Printf.sprintf "scorecards/%s/" name);
-              ("chaos", Printf.sprintf "chaos/%s/" name);
-              ("timeline", Printf.sprintf "timeline/%s/" name);
-              ("critpath", Printf.sprintf "critpath/%s/" name);
-              ("surge", Printf.sprintf "surge/%s/" name);
-              (* synth graph wall budgets: experiments/synth100/... for
-                 app "synth-100" *)
-              ( "wall",
-                Printf.sprintf "experiments/%s/wall_seconds"
-                  (String.concat "" (String.split_on_char '-' name)) );
-            ]
-        in
-        if fams = [] then "-" else String.concat "+" fams
+    | Some keys ->
+        (* synth graph wall budgets: experiments/synth100/... for app
+           "synth-100" *)
+        let stage = String.concat "" (String.split_on_char '-' name) in
+        List.filter_map
+          (function
+            | [ "experiments"; s; "wall_seconds" ] when s = stage -> Some "wall"
+            | fam :: app :: _ when app = name -> Some fam
+            | _ -> None)
+          keys
+        |> List.sort_uniq compare
+        |> function
+        | [] -> "-"
+        | fams -> String.concat "+" fams
   in
   List.iter
     (fun (e : Registry.entry) ->
@@ -931,21 +677,25 @@ let plan_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "plan" ] ~docv:"FILE" ~doc:"Fault plan JSON file (default: the canonical plans)")
+    & info [ "plan" ] ~docv:"NAME|FILE"
+        ~doc:
+          "Fault plan: a canonical name (kill-mid-tier, brownout-leaf, flaky-link) or a plan \
+           JSON file")
 
-let only_arg =
+let profile_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "only" ] ~docv:"PLAN"
-        ~doc:"Run only the named canonical plan (kill-mid-tier, brownout-leaf, flaky-link)")
+    & info [ "profile" ] ~docv:"NAME|FILE"
+        ~doc:
+          "Rate profile: a canonical name (flash-crowd, diurnal, ramp-to-saturation) or a Rate \
+           JSON file; arms autoscaling and the --queue-bound shed threshold")
 
-let chaos_cmd =
-  Cmd.v
-    (Cmd.info "chaos" ~doc:"Validate fidelity under failure (fault plans + resilience)")
-    Term.(
-      const chaos_app $ app_arg $ qps_arg $ no_tune_arg $ plan_arg $ only_arg $ trace_arg
-      $ trace_jaeger_arg)
+let queue_bound_arg =
+  Arg.(
+    value & opt int 48
+    & info [ "queue-bound" ] ~docv:"N"
+        ~doc:"Per-replica shed threshold overlaid on every tier under a --profile (default 48)")
 
 let openmetrics_arg =
   Arg.(
@@ -953,16 +703,6 @@ let openmetrics_arg =
     & opt (some string) None
     & info [ "openmetrics" ] ~docv:"FILE"
         ~doc:"Write both windowed timelines (actual + clone) as an OpenMetrics text exposition")
-
-let timeline_cmd =
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:
-         "Transient fidelity: windowed DES-clock telemetry under a fault plan (default \
-          kill-mid-tier), with time-to-reconvergence")
-    Term.(
-      const timeline_app $ app_arg $ qps_arg $ no_tune_arg $ plan_arg $ openmetrics_arg
-      $ trace_arg)
 
 let jaeger_arg =
   Arg.(
@@ -973,38 +713,15 @@ let jaeger_arg =
           "Export the actual side's sampled request span trees as Jaeger JSON (re-ingestable \
            by $(b,inspect-trace))")
 
-let critpath_cmd =
+let scenario_cmd =
   Cmd.v
-    (Cmd.info "critpath"
+    (Cmd.info "scenario"
        ~doc:
-         "Request-level critical-path tracing: actual-vs-clone divergence attribution per tier \
-          x segment")
-    Term.(const critpath_app $ app_arg $ qps_arg $ no_tune_arg $ plan_arg $ jaeger_arg)
-
-let profile_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile" ] ~docv:"NAME|FILE"
-        ~doc:
-          "Rate profile: a canonical name (flash-crowd, diurnal, ramp-to-saturation) or a Rate \
-           JSON file (default: flash-crowd)")
-
-let queue_bound_arg =
-  Arg.(
-    value & opt int 48
-    & info [ "queue-bound" ] ~docv:"N"
-        ~doc:"Per-replica shed threshold overlaid on every tier (default 48)")
-
-let surge_cmd =
-  Cmd.v
-    (Cmd.info "surge"
-       ~doc:
-         "Overload robustness: open-loop surge profile vs original and clone, with autoscaling \
-          and graceful degradation armed")
+         "Validate the clone under one scenario (steady, a fault plan, a surge profile, or \
+          both): scorecard, failure, timeline, critical-path and surge views")
     Term.(
-      const surge_app $ app_arg $ qps_arg $ no_tune_arg $ profile_file_arg $ plan_arg
-      $ queue_bound_arg $ openmetrics_arg)
+      const scenario_app $ app_arg $ qps_arg $ no_tune_arg $ plan_arg $ profile_arg
+      $ queue_bound_arg $ openmetrics_arg $ jaeger_arg $ trace_arg)
 
 let original_arg =
   Arg.(value & flag & info [ "original" ] ~doc:"Profile the original instead of its clone")
@@ -1040,6 +757,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            run_cmd; clone_cmd; synth_cmd; export_cmd; stages_cmd; chaos_cmd; timeline_cmd;
-            critpath_cmd; surge_cmd; inspect_cmd; profile_cmd; list_cmd;
+            run_cmd; clone_cmd; synth_cmd; export_cmd; stages_cmd; scenario_cmd; inspect_cmd;
+            profile_cmd; list_cmd;
           ]))

@@ -12,9 +12,6 @@ type faults = {
 let no_faults =
   { timeouts = 0; retries = 0; shed = 0; failures = 0; breaker_transitions = 0; link_drops = 0 }
 
-let faults_total f =
-  f.timeouts + f.retries + f.shed + f.failures + f.breaker_transitions + f.link_drops
-
 type t = {
   label : string;
   qps : float;
@@ -34,8 +31,6 @@ type t = {
   counters : Counters.t;
   faults : faults;
 }
-
-let radar_axes = [ "IPC"; "Branch"; "L1i"; "L1d"; "L2"; "LLC"; "Net BW"; "Disk BW" ]
 
 let radar_values t ~include_disk =
   let base =

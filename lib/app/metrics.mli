@@ -12,7 +12,6 @@ type faults = {
 }
 
 val no_faults : faults
-val faults_total : faults -> int
 
 type t = {
   label : string;
@@ -34,15 +33,11 @@ type t = {
   faults : faults;
 }
 
-val radar_axes : string list
-(** The axes of the paper's radar plots: IPC, Branch, L1i, L1d, L2, LLC,
-    Net BW (+ Disk BW where applicable). *)
-
-val radar_values : t -> include_disk:bool -> (string * float) list
-
 val error_pct : actual:t -> synthetic:t -> (string * float) list
-(** Per-axis percentage error of the synthetic clone vs the original
-    (axes with a zero actual value are skipped). *)
+(** Per-axis percentage error of the synthetic clone vs the original on
+    the axes of the paper's radar plots: IPC, Branch, L1i, L1d, L2, LLC,
+    Net BW (+ Disk BW where applicable). Axes with a zero actual value are
+    skipped. *)
 
 val latency_error_pct : actual:t -> synthetic:t -> (string * float) list
 val pp_row : t -> string list

@@ -93,4 +93,3 @@ let by_name name =
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Registry.by_name: unknown app %S" name)
 
-let singles = List.filter (fun e -> e.name <> "social_network") all

@@ -27,5 +27,3 @@ val synth_sizes : int list
 val by_name : string -> entry
 (** Searches [all] then [extras]. *)
 
-val singles : entry list
-(** The four single-tier services. *)

@@ -2,9 +2,6 @@ open Ditto_isa
 open Ditto_app
 module Rng = Ditto_util.Rng
 
-let graph_users = 962
-let graph_edges = 18_812
-
 (* Tier indices into the shared address-space layout. *)
 let idx_frontend = 0
 let idx_compose = 1

@@ -76,95 +76,84 @@ type comparison = {
   synthetic_service : Service.result;
 }
 
-let comparison_of_outputs ~label (actual_out : Runner.output) (synth_out : Runner.output) =
-  {
-    label;
-    actual = actual_out.Runner.per_tier;
-    synthetic = synth_out.Runner.per_tier;
-    actual_end_to_end = actual_out.Runner.end_to_end;
-    synthetic_end_to_end = synth_out.Runner.end_to_end;
-    actual_raw = actual_out.Runner.service.Service.latency_raw;
-    synthetic_raw = synth_out.Runner.service.Service.latency_raw;
-    actual_measured = actual_out.Runner.measured;
-    synthetic_measured = synth_out.Runner.measured;
-    actual_service = actual_out.Runner.service;
-    synthetic_service = synth_out.Runner.service;
-  }
-
-let validate ?pool ?config_of ~platform ~load ~label result =
-  Obs.Span.with_span ~name:"pipeline.validate" ~attrs:[ ("label", Obs.Str label) ]
-  @@ fun () ->
-  let pool = match pool with Some p -> p | None -> Ditto_util.Pool.default () in
-  let config =
-    match config_of with Some f -> f platform | None -> Runner.config platform
-  in
-  (* The actual and the synthetic runs are independent (each builds its own
-     engine and hardware state), so they ride two pool domains. *)
-  let actual_out, synth_out =
-    Ditto_util.Pool.both pool
-      (fun () -> Runner.run config ~load result.original)
-      (fun () -> Runner.run config ~load result.synthetic)
-  in
-  comparison_of_outputs ~label actual_out synth_out
-
-type chaos = {
-  chaos_label : string;
-  plan : Ditto_fault.Plan.t option;
-  surge : Rate.t option;
-  comparison : comparison;
-  actual_service : Service.result;
-  synthetic_service : Service.result;
-}
-
-let scenario_name ?plan ?surge () =
-  match (plan, surge) with
-  | Some (p : Ditto_fault.Plan.t), Some (r : Rate.t) ->
-      p.Ditto_fault.Plan.plan_name ^ "+" ^ r.Rate.profile_name
-  | Some p, None -> p.Ditto_fault.Plan.plan_name
-  | None, Some r -> r.Rate.profile_name
-  | None, None -> "steady"
+type chaos = { scenario : Scenario.t; comparison : comparison }
 
 let error_rate (r : Service.result) =
   let total = r.Service.completed + r.Service.errors in
   if total = 0 then 0.0 else float_of_int r.Service.errors /. float_of_int total
 
-let validate_under ?pool ?(resilience = Spec.resilient ()) ?(client_timeout = 0.03)
-    ?(client_retries = 1) ?autoscale ?config_of ~platform ~load ?plan ?profile ~label result =
-  Obs.Span.with_span ~name:"pipeline.validate_under"
-    ~attrs:
-      [ ("label", Obs.Str label); ("scenario", Obs.Str (scenario_name ?plan ?surge:profile ())) ]
-  @@ fun () ->
+let run ?pool ?config_of ~platform ~load ~label (scenario : Scenario.t) result =
+  let span, attrs =
+    match scenario.Scenario.armour with
+    | None -> ("pipeline.validate", [])
+    | Some _ -> ("pipeline.validate_under", [ ("scenario", Obs.Str (Scenario.name scenario)) ])
+  in
+  Obs.Span.with_span ~name:span ~attrs:(("label", Obs.Str label) :: attrs) @@ fun () ->
   let pool = match pool with Some p -> p | None -> Ditto_util.Pool.default () in
-  let base = match config_of with Some f -> f platform | None -> Runner.config platform in
-  let config = { base with Runner.fault_plan = plan } in
-  (* Both sides face the failure with identical armour: the same
-     deployment-level resilience overlay, scaling policy and client
-     behaviour — the comparison isolates the clone's fidelity, not its
-     configuration. A surge profile replaces the load's (if any), so the
-     same offered-rate shape hits original and clone. *)
+  let config = match config_of with Some f -> f platform | None -> Runner.config platform in
+  let config =
+    match scenario.Scenario.plan with
+    | None -> config
+    | plan -> { config with Runner.fault_plan = plan }
+  in
+  (* A scenario's profile replaces the load's (if any), so the same
+     offered-rate shape hits original and clone. *)
   let load =
-    let profile =
-      match profile with Some _ -> profile | None -> load.Service.profile
-    in
-    { load with Service.client_timeout = Some client_timeout; client_retries; profile }
+    match scenario.Scenario.profile with
+    | None -> load
+    | profile -> { load with Service.profile }
   in
-  let armour spec =
-    let spec = Spec.with_resilience resilience spec in
-    match autoscale with None -> spec | Some pol -> Spec.with_autoscale pol spec
+  (* Both sides face the scenario with identical armour: the same
+     deployment-level resilience overlay, scaling policy and client
+     behaviour, so the comparison isolates the clone's fidelity, not its
+     configuration. *)
+  let load, dress =
+    match scenario.Scenario.armour with
+    | None -> (load, Fun.id)
+    | Some (a : Scenario.armour) ->
+        ( {
+            load with
+            Service.client_timeout = Some a.Scenario.client_timeout;
+            client_retries = a.Scenario.client_retries;
+          },
+          fun spec ->
+            Spec.with_resilience a.Scenario.resilience spec
+            |> Option.fold ~none:Fun.id ~some:Spec.with_autoscale a.Scenario.autoscale )
   in
-  let actual_out, synth_out =
+  (* The actual and the synthetic runs are independent (each builds its own
+     engine and hardware state), so they ride two pool domains. *)
+  let (a : Runner.output), (s : Runner.output) =
     Ditto_util.Pool.both pool
-      (fun () -> Runner.run config ~load (armour result.original))
-      (fun () -> Runner.run config ~load (armour result.synthetic))
+      (fun () -> Runner.run config ~load (dress result.original))
+      (fun () -> Runner.run config ~load (dress result.synthetic))
   in
   {
-    chaos_label = label;
-    plan;
-    surge = load.Service.profile;
-    comparison = comparison_of_outputs ~label actual_out synth_out;
-    actual_service = actual_out.Runner.service;
-    synthetic_service = synth_out.Runner.service;
+    scenario = { scenario with Scenario.profile = load.Service.profile };
+    comparison =
+      {
+        label;
+        actual = a.Runner.per_tier;
+        synthetic = s.Runner.per_tier;
+        actual_end_to_end = a.Runner.end_to_end;
+        synthetic_end_to_end = s.Runner.end_to_end;
+        actual_raw = a.Runner.service.Service.latency_raw;
+        synthetic_raw = s.Runner.service.Service.latency_raw;
+        actual_measured = a.Runner.measured;
+        synthetic_measured = s.Runner.measured;
+        actual_service = a.Runner.service;
+        synthetic_service = s.Runner.service;
+      };
   }
+
+let validate ?pool ?config_of ~platform ~load ~label result =
+  (run ?pool ?config_of ~platform ~load ~label Scenario.steady result).comparison
+
+let validate_under ?pool ?resilience ?client_timeout ?client_retries ?autoscale ?config_of
+    ~platform ~load ?plan ?profile ~label result =
+  let armour = Scenario.armour ?resilience ?autoscale ?client_timeout ?client_retries () in
+  run ?pool ?config_of ~platform ~load ~label
+    { Scenario.plan; profile; armour = Some armour }
+    result
 
 let comparison_errors c =
   (* Index the synthetic side once: on synth-1000 graphs the per-name

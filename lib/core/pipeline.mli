@@ -47,6 +47,39 @@ type comparison = {
   synthetic_service : Ditto_app.Service.result;
 }
 
+val comparison_errors : comparison -> (string * (string * float) list) list
+(** Per tier: the radar-axis error percentages. *)
+
+(** {1 Scenarios} *)
+
+type chaos = {
+  scenario : Scenario.t;
+      (** the scenario run; its [profile] is the one the load carried
+          when the scenario named none *)
+  comparison : comparison;  (** per-tier metrics and service results, both sides *)
+}
+
+val error_rate : Ditto_app.Service.result -> float
+(** Failed fraction of client requests: errors / (completed + errors). *)
+
+val run :
+  ?pool:Ditto_util.Pool.t ->
+  ?config_of:(Ditto_uarch.Platform.t -> Ditto_app.Runner.config) ->
+  platform:Ditto_uarch.Platform.t ->
+  load:Ditto_app.Service.load ->
+  label:string ->
+  Scenario.t ->
+  clone_result ->
+  chaos
+(** Run original and synthetic under one scenario, in identical fresh
+    environments: the scenario's fault plan armed, its rate profile
+    replacing the load's, and its armour (if any) overlaid on both
+    sides. The pair rides two pool domains when the pool has capacity;
+    each run builds its own engine, so the outputs match the sequential
+    schedule exactly. [config_of] customises the runner config
+    (interference, core counts, ...). Deterministic for a given seed and
+    scenario, for any pool size. *)
+
 val validate :
   ?pool:Ditto_util.Pool.t ->
   ?config_of:(Ditto_uarch.Platform.t -> Ditto_app.Runner.config) ->
@@ -55,32 +88,7 @@ val validate :
   label:string ->
   clone_result ->
   comparison
-(** Run original and synthetic under identical fresh environments and
-    collect both metric sets — on two pool domains when the pool has
-    capacity (each run builds its own engine, so the pair is domain-safe
-    and the outputs match the sequential schedule exactly). [config_of]
-    customises the runner config (interference, core counts, ...). *)
-
-val comparison_errors : comparison -> (string * (string * float) list) list
-(** Per tier: the radar-axis error percentages. *)
-
-(** {1 Fidelity under failure} *)
-
-type chaos = {
-  chaos_label : string;
-  plan : Ditto_fault.Plan.t option;  (** the fault schedule armed, if any *)
-  surge : Ditto_app.Rate.t option;  (** the rate profile driven, if any *)
-  comparison : comparison;  (** degraded per-tier metrics, both sides *)
-  actual_service : Ditto_app.Service.result;
-  synthetic_service : Ditto_app.Service.result;
-}
-
-val scenario_name : ?plan:Ditto_fault.Plan.t -> ?surge:Ditto_app.Rate.t -> unit -> string
-(** ["<plan>+<profile>"], either half alone, or ["steady"] — the scenario
-    key used in scorecards and flat metric paths. *)
-
-val error_rate : Ditto_app.Service.result -> float
-(** Failed fraction of client requests: errors / (completed + errors). *)
+(** {!run} under {!Scenario.steady}. *)
 
 val validate_under :
   ?pool:Ditto_util.Pool.t ->
@@ -96,13 +104,5 @@ val validate_under :
   label:string ->
   clone_result ->
   chaos
-(** {!validate}, but under adversity: [plan] (a fault schedule), [profile]
-    (an open-loop surge, overriding the load's own), or both composed —
-    with the same resilience armour ([resilience], default
-    [Spec.resilient ()]; client deadline [client_timeout], default 30 ms,
-    with [client_retries], default 1) and, when given, the same
-    [autoscale] policy overlaid on every tier of original and clone alike
-    — so the comparison probes whether the clone degrades (and scales)
-    like the original, not whether it is configured like it.
-    Deterministic for a given seed, plan and profile, for any pool
-    size. *)
+(** {!run} under adversity: [plan], [profile], or both composed, with the
+    armour {!Scenario.armour} builds from the optional arguments. *)

@@ -42,4 +42,3 @@ val is_control : t -> bool
 (** Coarse operand category used in iform feature vectors. *)
 type operand_kind = Op_gpr | Op_x87 | Op_xmm | Op_mem | Op_imm | Op_none
 
-val operand_kind_to_string : operand_kind -> string

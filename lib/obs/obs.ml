@@ -416,4 +416,18 @@ module Export = struct
 
   let write_chrome path = write path (to_chrome ())
   let write_jaeger ?service path = write path (to_jaeger ?service ())
+
+  let write_files ~log ?chrome ?jaeger () =
+    Option.iter
+      (fun path ->
+        write_chrome path;
+        log
+          (Printf.sprintf "wrote %s (%d spans, %d dropped)" path (List.length (spans ()))
+             (dropped ())))
+      chrome;
+    Option.iter
+      (fun path ->
+        write_jaeger path;
+        log ("wrote " ^ path))
+      (match jaeger with None -> Option.map (fun p -> p ^ ".jaeger.json") chrome | j -> j)
 end

@@ -116,4 +116,9 @@ module Export : sig
 
   val write_chrome : string -> unit
   val write_jaeger : ?service:string -> string -> unit
+
+  val write_files : log:(string -> unit) -> ?chrome:string -> ?jaeger:string -> unit -> unit
+  (** Write the Chrome export to [chrome] and the Jaeger export to [jaeger]
+      (default [chrome ^ ".jaeger.json"] when only [chrome] is given),
+      reporting each file written through [log]. *)
 end

@@ -95,21 +95,10 @@ let flatten json =
                  rows
            | _ -> [])
   in
-  let chaos =
-    obj_entries (J.member "chaos" json)
-    |> List.map (fun (key, v) -> ("chaos/" ^ key, J.to_float v))
-  in
-  let timeline =
-    obj_entries (J.member "timeline" json)
-    |> List.map (fun (key, v) -> ("timeline/" ^ key, J.to_float v))
-  in
-  let critpath =
-    obj_entries (J.member "critpath" json)
-    |> List.map (fun (key, v) -> ("critpath/" ^ key, J.to_float v))
-  in
-  let surge =
-    obj_entries (J.member "surge" json)
-    |> List.map (fun (key, v) -> ("surge/" ^ key, J.to_float v))
+  (* Scenario keys already carry their view ("chaos/", "timeline/", ...)
+     as their first component. *)
+  let scenarios =
+    obj_entries (J.member "scenarios" json) |> List.map (fun (key, v) -> (key, J.to_float v))
   in
   (* Wall-clock budgets: per-experiment stage seconds plus the bench
      total, so `bench --check` gates performance regressions alongside
@@ -130,7 +119,7 @@ let flatten json =
     | J.Num s -> per_experiment @ [ ("experiments/total/wall_seconds", s) ]
     | _ -> per_experiment
   in
-  errors @ scorecards @ chaos @ timeline @ critpath @ surge @ wall
+  errors @ scorecards @ scenarios @ wall
 
 let make ?(tolerance_pp = default_tolerances) metrics = { tolerance_pp; metrics }
 
@@ -174,6 +163,23 @@ let diff t current =
       ([], 0) t.metrics
   in
   (List.sort (fun a b -> compare a.key b.key) regressions, checked)
+
+(* A key's family is its first two path components ("chaos/redis"). *)
+let family key =
+  match String.split_on_char '/' key with a :: b :: _ -> a ^ "/" ^ b | _ -> key
+
+let missing t current =
+  let keys = Hashtbl.create 256 and families = Hashtbl.create 64 in
+  List.iter
+    (fun (k, _) ->
+      Hashtbl.replace keys k ();
+      Hashtbl.replace families (family k) ())
+    current;
+  List.filter_map
+    (fun (k, _) ->
+      if Hashtbl.mem keys k || not (Hashtbl.mem families (family k)) then None else Some k)
+    t.metrics
+  |> List.sort compare
 
 let num_obj kvs = J.Obj (List.map (fun (k, v) -> (k, J.Num v)) kvs)
 

@@ -31,8 +31,10 @@ val tolerance_for : t -> string -> float
 val flatten : Ditto_util.Jsonx.t -> (string * float) list
 (** Extract comparable metrics from a [bench --json] document:
     ["mean_error_pct/<axis>"] entries,
-    ["scorecards/<app>/<tier>/<metric>"] row errors, and
-    ["chaos/<app>/<plan>/<metric>"] failure-fidelity errors. *)
+    ["scorecards/<app>/<tier>/<metric>"] row errors, the ["scenarios"]
+    section's keys as they stand (["chaos/<app>/<plan>/<metric>"],
+    ["timeline/..."], ["critpath/..."], ["surge/..."]), and
+    ["experiments/<name>/wall_seconds"] stage walls. *)
 
 val make : ?tolerance_pp:(string * float) list -> (string * float) list -> t
 (** A baseline with the given metrics. *)
@@ -48,8 +50,15 @@ val merge : into:t -> (string * float) list -> t
 val diff : t -> (string * float) list -> regression list * int
 (** [diff baseline current] returns the regressions (current error exceeds
     baseline + tolerance) and the number of keys compared. Keys present on
-    only one side are skipped — adding or removing a metric is not a
-    regression. *)
+    only one side are not compared; {!missing} reports the baseline keys a
+    run should have produced. *)
+
+val missing : t -> (string * float) list -> string list
+(** Baseline keys absent from [current] whose family (first two ['/']
+    components, e.g. ["chaos/redis"]) [current] produced at least one key
+    for, sorted: a renamed or dropped key in a family the run covers, which
+    would otherwise silently stop being gated. Families the run did not
+    touch (a partial [--apps] run) are not reported. *)
 
 val load : string -> t
 (** Raises {!Ditto_util.Jsonx.Parse_error} on malformed input. *)

@@ -1,10 +1,8 @@
 module J = Ditto_util.Jsonx
 
-let schema_version = 9
+let schema_version = 10
 
-(* Per-experiment scheduling telemetry (v5): how long the stage took, how
-   many domains the pool offered it, and what fraction of (domains x wall)
-   was spent executing tasks. *)
+(* The schema history lives in bench_json.mli. *)
 type experiment = {
   exp_name : string;
   exp_seconds : float;
@@ -12,18 +10,6 @@ type experiment = {
   exp_parallel_efficiency : float;
 }
 
-(* v6 additions: the engine's process-wide event-heap high-water mark (the
-   synth scaling work pins DES memory behaviour) and each cloned app's
-   tier count, so wide-graph runs are self-describing. v7 adds the flat
-   transient-fidelity keys from the windowed telemetry layer
-   (timeline/<app>/<plan>/{worst_window_err_pct,mean_window_err_pct,
-   reconverge_seconds}). v8 adds the flat critical-path divergence keys
-   from the request-tracing layer
-   (critpath/<app>/<plan>/<tier>/<segment>/share_err_pp plus per-app
-   worst/mean summaries). v9 adds the flat overload-fidelity keys from
-   surge runs (surge/<app>/<profile>/{worst_window_err_pct,
-   mean_window_err_pct,reconverge_seconds,shed_fraction_err_pp,
-   worst_shed_window_err_pp,replica_traj_err_pp,saturation_onset_err_s}). *)
 type input = {
   domains : int;
   total_seconds : float;
@@ -33,10 +19,7 @@ type input = {
   tuning : (string * J.t) list;
   metrics : (string * float) list;
   scorecards : Scorecard.t list;
-  chaos : (string * float) list;
-  timeline : (string * float) list;
-  critpath : (string * float) list;
-  surge : (string * float) list;
+  scenarios : (string * float) list;
   peak_heap_events : int;
   tier_counts : (string * int) list;
 }
@@ -68,10 +51,7 @@ let assemble i =
       ( "scorecards",
         J.Obj (List.map (fun (s : Scorecard.t) -> (s.Scorecard.app, Scorecard.to_json s)) i.scorecards)
       );
-      ("chaos", num_obj i.chaos);
-      ("timeline", num_obj i.timeline);
-      ("critpath", num_obj i.critpath);
-      ("surge", num_obj i.surge);
+      ("scenarios", num_obj i.scenarios);
       ("engine", J.Obj [ ("peak_heap_events", J.int i.peak_heap_events) ]);
       ("tier_counts", J.Obj (List.map (fun (k, v) -> (k, J.int v)) i.tier_counts));
     ]
@@ -153,10 +133,7 @@ let validate json =
   let* () = field path json "tuning" (obj_of any) in
   let* () = field path json "metrics" (obj_of num) in
   let* () = field path json "scorecards" (obj_of scorecard) in
-  let* () = field path json "chaos" (obj_of num) in
-  let* () = field path json "timeline" (obj_of num) in
-  let* () = field path json "critpath" (obj_of num) in
-  let* () = field path json "surge" (obj_of num) in
+  let* () = field path json "scenarios" (obj_of num) in
   let* () =
     field path json "engine" (fun path v -> field path v "peak_heap_events" num)
   in

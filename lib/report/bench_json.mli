@@ -16,12 +16,18 @@
     [worst_share_err_pp]/[mean_share_err_pp] summaries); version 9 adds
     the flat ["surge"] section (overload-fidelity metrics from
     profile-driven runs, keyed ["<app>/<profile>/<metric>"],
-    {!Surge.flat}).
+    {!Surge.flat}); version 10 replaces the chaos, timeline, critpath and
+    surge sections with one flat ["scenarios"] section (the [bench
+    scenarios] experiment), whose keys carry their view as the first
+    component (["chaos/<app>/<plan>/<metric>"],
+    ["timeline/<app>/<plan>/<metric>"], ["critpath/<app>/<plan>/..."],
+    ["surge/<app>/<scenario>/<metric>"]): the exact names the v4-v9
+    sections flattened to.
     {!validate} is the shape check the test suite and downstream tooling
     run against emitted files, so schema drift fails loudly instead of
     silently. *)
 
-val schema_version : int  (** 9 *)
+val schema_version : int  (** 10 *)
 
 type experiment = {
   exp_name : string;
@@ -42,18 +48,9 @@ type input = {
       (** app -> {!Ditto_tune.Tuner.report_to_json} *)
   metrics : (string * float) list;  (** {!Ditto_obs.Obs.Metrics.snapshot} *)
   scorecards : Scorecard.t list;
-  chaos : (string * float) list;
-      (** "<app>/<plan>/<metric>" -> value, from [bench --chaos]; empty
-          when the chaos experiment did not run *)
-  timeline : (string * float) list;
-      (** "<app>/<plan>/<metric>" -> value ({!Timeline.flat}), from
-          [bench timeline]; empty when that experiment did not run *)
-  critpath : (string * float) list;
-      (** "<app>/<plan>/..." -> value ({!Critpath.flat}), from
-          [bench critpath]; empty when that experiment did not run *)
-  surge : (string * float) list;
-      (** "<app>/<profile>/<metric>" -> value ({!Surge.flat}), from
-          [bench surge]; empty when that experiment did not run *)
+  scenarios : (string * float) list;
+      (** "<view>/<app>/<scenario>/..." -> value, from [bench scenarios];
+          empty when that experiment did not run *)
   peak_heap_events : int;
       (** {!Ditto_sim.Engine.global_peak_heap_events} at document time *)
   tier_counts : (string * int) list;  (** app -> tiers in the original spec *)

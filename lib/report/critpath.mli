@@ -80,8 +80,8 @@ val print : divergence -> unit
     [CRITPATH worst=<tier>/<segment> err_pp=...] summary line. *)
 
 val flat : divergence -> (string * float) list
-(** Flat gate keys for the [critpath] section of [bench --json] (schema
-    v8), gated through {!Baseline}:
+(** Flat gate keys, under ["critpath/"] in the [scenarios] section of
+    [bench --json], gated through {!Baseline}:
     [<app>/<plan>/<tier>/<segment>/share_err_pp] (absolute pp) per row
     plus [<app>/<plan>/{worst_share_err_pp,mean_share_err_pp}]. [plan]
     falls back to ["steady"]. *)

@@ -104,8 +104,9 @@ let of_comparison ?(target_pct = 5.0) ~app ?tuning (c : Pipeline.comparison) =
    ...) are noisy per-event tallies, so they pass within 50% of the larger
    side or an absolute slack of 10 events. *)
 let of_chaos ?(target_pct = 5.0) ~app ?tuning (ch : Pipeline.chaos) =
-  let base = of_comparison ~target_pct ~app ?tuning ch.Pipeline.comparison in
-  let a_svc = ch.Pipeline.actual_service and s_svc = ch.Pipeline.synthetic_service in
+  let c = ch.Pipeline.comparison in
+  let base = of_comparison ~target_pct ~app ?tuning c in
+  let a_svc = c.Pipeline.actual_service and s_svc = c.Pipeline.synthetic_service in
   let rate_row metric a s =
     let delta = 100.0 *. Float.abs (s -. a) in
     { f_metric = metric; f_actual = a; f_synthetic = s; f_delta = delta; f_pass = delta <= target_pct }
@@ -158,16 +159,18 @@ let of_chaos ?(target_pct = 5.0) ~app ?tuning (ch : Pipeline.chaos) =
               ])
       a_svc.Service.tiers
   in
-  {
-    base with
-    label = ch.Pipeline.chaos_label;
-    failure =
-      Some
-        {
-          fail_plan = Pipeline.scenario_name ?plan:ch.Pipeline.plan ?surge:ch.Pipeline.surge ();
-          failure_rows = app_rows @ tier_rows;
-        };
-  }
+  match ch.Pipeline.scenario.Ditto_core.Scenario.armour with
+  | None -> base
+  | Some _ ->
+      {
+        base with
+        failure =
+          Some
+            {
+              fail_plan = Ditto_core.Scenario.name ch.Pipeline.scenario;
+              failure_rows = app_rows @ tier_rows;
+            };
+      }
 
 let passed t =
   List.for_all (fun r -> match r.knob_group with Some _ -> r.pass | None -> true) t.rows

@@ -64,10 +64,11 @@ val of_chaos :
   ?tuning:Ditto_tune.Tuner.report ->
   Ditto_core.Pipeline.chaos ->
   t
-(** Scorecard for a {!Ditto_core.Pipeline.validate_under} run: the usual
-    degraded counter rows plus a {!failure_section} comparing error rate
-    (pp), degraded p99 / throughput (relative %) and per-tier resilience
-    counters between original and clone. *)
+(** Scorecard for a {!Ditto_core.Pipeline.run}: the usual counter rows
+    plus, when the scenario armed armour (any non-steady scenario), a
+    {!failure_section} comparing error rate (pp), degraded p99 /
+    throughput (relative %) and per-tier resilience counters between
+    original and clone. *)
 
 val passed : t -> bool
 (** True when every counter row (those with a [knob_group]) passes;

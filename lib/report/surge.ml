@@ -55,17 +55,17 @@ let count_scale dir events =
        events)
 
 let of_chaos ~app ?threshold_pct (ch : Pipeline.chaos) =
+  let a_svc = ch.Pipeline.comparison.Pipeline.actual_service
+  and c_svc = ch.Pipeline.comparison.Pipeline.synthetic_service in
   let actual, clone =
-    match
-      (ch.Pipeline.actual_service.Service.timeline, ch.Pipeline.synthetic_service.Service.timeline)
-    with
+    match (a_svc.Service.timeline, c_svc.Service.timeline) with
     | Some a, Some c -> (a, c)
     | _ ->
         invalid_arg
           "Surge.of_chaos: needs windowed telemetry on both sides (enable Timeseries before the \
            run)"
   in
-  let scenario = Pipeline.scenario_name ?plan:ch.Pipeline.plan ?surge:ch.Pipeline.surge () in
+  let scenario = Ditto_core.Scenario.name ch.Pipeline.scenario in
   let timeline = Timeline.of_timelines ~app ~plan:scenario ?threshold_pct ~actual ~clone () in
   let n = Ts.windows actual in
   let w = Ts.window_seconds actual in
@@ -122,10 +122,10 @@ let of_chaos ~app ?threshold_pct (ch : Pipeline.chaos) =
     saturation_onset_actual;
     saturation_onset_clone;
     saturation_onset_err_s;
-    scale_out_actual = count_scale 1 ch.Pipeline.actual_service.Service.scale_events;
-    scale_out_clone = count_scale 1 ch.Pipeline.synthetic_service.Service.scale_events;
-    scale_in_actual = count_scale (-1) ch.Pipeline.actual_service.Service.scale_events;
-    scale_in_clone = count_scale (-1) ch.Pipeline.synthetic_service.Service.scale_events;
+    scale_out_actual = count_scale 1 a_svc.Service.scale_events;
+    scale_out_clone = count_scale 1 c_svc.Service.scale_events;
+    scale_in_actual = count_scale (-1) a_svc.Service.scale_events;
+    scale_in_clone = count_scale (-1) c_svc.Service.scale_events;
     shed_total_actual = a_shed;
     shed_total_clone = c_shed;
   }

@@ -1,6 +1,6 @@
 (** Surge-fidelity scorecard: does the clone overload like the original?
 
-    Built from a {!Ditto_core.Pipeline.validate_under} run driven by a
+    Built from a {!Ditto_core.Pipeline.run} driven by a
     rate profile (DESIGN.md section 14). On top of the windowed
     {!Timeline} comparison it scores the three behaviours that only exist
     under overload: how much load each side sheds (and when shedding
@@ -9,7 +9,7 @@
 
 type t = {
   app : string;
-  scenario : string;  (** {!Ditto_core.Pipeline.scenario_name} of the run *)
+  scenario : string;  (** {!Ditto_core.Scenario.name} of the run *)
   timeline : Timeline.t;  (** the windowed qps/p95 comparison underneath *)
   shed_fraction_actual : float;  (** whole-run shed / (shed + completed) *)
   shed_fraction_clone : float;
@@ -44,5 +44,5 @@ val flat : t -> (string * float) list
 (** Flat gate keys
     [<app>/<scenario>/{worst_window_err_pct,mean_window_err_pct,
     reconverge_seconds,shed_fraction_err_pp,worst_shed_window_err_pp,
-    replica_traj_err_pp,saturation_onset_err_s}] for the [surge] section
-    of [bench --json] (schema v9), gated through {!Baseline}. *)
+    replica_traj_err_pp,saturation_onset_err_s}], under ["surge/"] in the
+    [scenarios] section of [bench --json], gated through {!Baseline}. *)

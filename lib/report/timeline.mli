@@ -72,7 +72,7 @@ val print : t -> unit
 val flat : t -> (string * float) list
 (** Flat gate keys
     [<app>/<plan>/{worst_window_err_pct,mean_window_err_pct,reconverge_seconds}]
-    for the [timeline] section of [bench --json] (schema v7), gated
-    through {!Baseline}. [plan] falls back to ["steady"]. Plans with more
+    under ["timeline/"] in the [scenarios] section of [bench --json],
+    gated through {!Baseline}. [plan] falls back to ["steady"]. Plans with more
     than one fault marker additionally emit
     [<app>/<plan>/fault<i>/reconverge_seconds] per marker. *)

@@ -76,6 +76,4 @@ val attribution_of_errors : (string * float) list -> (string * float) list
     [bench --json] and embedded as span attributes by the observability
     layer. *)
 
-val params_to_json : Ditto_gen.Params.t -> Ditto_util.Jsonx.t
-val iteration_to_json : iteration -> Ditto_util.Jsonx.t
 val report_to_json : report -> Ditto_util.Jsonx.t

@@ -139,8 +139,6 @@ let with_frequency p freq =
     lat_mem = max 1 (int_of_float (Float.round (float_of_int p.lat_mem *. ratio)));
   }
 
-let with_cores p cores = { p with cores }
-
 (* Structural hash over every field (the record is all scalars and
    strings). A cheap component for memo keys and reports; correctness-
    critical caches key on the full record structurally and only use this

@@ -58,8 +58,6 @@ val with_frequency : t -> float -> t
 (** Frequency-scaled copy (memory latency in cycles rescales so absolute
     DRAM time is invariant), used by the Fig. 11 power-management sweep. *)
 
-val with_cores : t -> int -> t
-
 val fingerprint : t -> int
 (** Structural hash over every field. Changing any platform parameter
     (frequency, cache geometry, core count, ...) changes the fingerprint,

@@ -7,8 +7,6 @@ let normal rng ~mean ~std =
   let u2 = Rng.float rng 1.0 in
   mean +. (std *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let lognormal rng ~mu ~sigma = exp (normal rng ~mean:mu ~std:sigma)
-
 let geometric rng ~mean =
   if mean <= 1.0 then 1
   else

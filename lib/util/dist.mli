@@ -3,9 +3,6 @@
 val exponential : Rng.t -> mean:float -> float
 (** Exponential inter-arrival with the given mean. *)
 
-val lognormal : Rng.t -> mu:float -> sigma:float -> float
-(** Log-normal sample, parameterised on the underlying normal. *)
-
 val geometric : Rng.t -> mean:float -> int
 (** Geometric batch size on support [{1, 2, ...}] with the given mean;
     one uniform draw per sample. [mean <= 1] always returns 1. *)

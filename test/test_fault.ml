@@ -340,14 +340,14 @@ let test_chaos_determinism_across_pools () =
   let par = validate_under_with ~pool_size:3 plan in
   let again = validate_under_with ~pool_size:3 plan in
   Alcotest.(check bool) "actual side bit-identical (1 vs 3 domains)" true
-    (service_fingerprint seq.Pipeline.actual_service
-    = service_fingerprint par.Pipeline.actual_service);
+    (service_fingerprint seq.Pipeline.comparison.Pipeline.actual_service
+    = service_fingerprint par.Pipeline.comparison.Pipeline.actual_service);
   Alcotest.(check bool) "synthetic side bit-identical (1 vs 3 domains)" true
-    (service_fingerprint seq.Pipeline.synthetic_service
-    = service_fingerprint par.Pipeline.synthetic_service);
+    (service_fingerprint seq.Pipeline.comparison.Pipeline.synthetic_service
+    = service_fingerprint par.Pipeline.comparison.Pipeline.synthetic_service);
   Alcotest.(check bool) "repeat run bit-identical" true
-    (service_fingerprint par.Pipeline.actual_service
-    = service_fingerprint again.Pipeline.actual_service);
+    (service_fingerprint par.Pipeline.comparison.Pipeline.actual_service
+    = service_fingerprint again.Pipeline.comparison.Pipeline.actual_service);
   (* the plan actually did something: the degraded run saw faults *)
   let faults (r : Service.result) =
     List.fold_left
@@ -358,7 +358,7 @@ let test_chaos_determinism_across_pools () =
       (r.Service.errors + r.Service.client_timeouts + r.Service.client_retries)
       r.Service.tiers
   in
-  Alcotest.(check bool) "faults observed" true (faults seq.Pipeline.actual_service > 0)
+  Alcotest.(check bool) "faults observed" true (faults seq.Pipeline.comparison.Pipeline.actual_service > 0)
 
 (* {1 Resilience direction} *)
 

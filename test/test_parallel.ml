@@ -377,6 +377,72 @@ let test_constant_profile_invariance () =
     && v1.Pipeline.actual_end_to_end = v4.Pipeline.actual_end_to_end
     && v1.Pipeline.synthetic_end_to_end = v4.Pipeline.synthetic_end_to_end)
 
+(* The recorders must stay invisible off steady state too: bench scenario
+   keys come from telemetry-on runs and ditto_cli scenario runs with both
+   recorders on. A faulted run, and a faulted run under a flash crowd
+   (shedding, retries, autoscaling), must agree bit-for-bit with both
+   recorders on and both off. *)
+let service_fingerprint (r : Service.result) =
+  ( (r.Service.completed, r.Service.errors, r.Service.client_timeouts, r.Service.client_retries),
+    Array.to_list r.Service.latency_raw,
+    List.map
+      (fun (o : Service.tier_obs) ->
+        ( o.Service.obs_name,
+          ( o.Service.obs_timeouts,
+            o.Service.obs_retries,
+            o.Service.obs_shed,
+            o.Service.obs_failures,
+            o.Service.obs_breaker_transitions,
+            o.Service.obs_link_drops ) ))
+      r.Service.tiers,
+    r.Service.scale_events )
+
+let recorders_invariance ~surge () =
+  let (r, _), _ = Lazy.force seq_parallel in
+  let load = Service.load ~qps:20000.0 ~open_loop:false ~duration:0.3 () in
+  let tiers = List.map (fun (t : Spec.tier) -> t.Spec.tier_name) r.Pipeline.original.Spec.tiers in
+  let plan = Ditto_fault.Plan.kill_mid_tier ~duration:0.3 ~tiers () in
+  let profile = if surge then Some (Ditto_loadgen.Profile.flash_crowd ~duration:0.3 ()) else None in
+  let autoscale = if surge then Some (Spec.autoscale ()) else None in
+  let resilience = if surge then Some (Spec.resilient ~queue_bound:48 ()) else None in
+  let run ~recording =
+    if recording then begin
+      Ditto_obs.Timeseries.enable ();
+      Ditto_obs.Reqtrace.enable ()
+    end;
+    Fun.protect
+      ~finally:(fun () ->
+        Ditto_obs.Timeseries.disable ();
+        Ditto_obs.Reqtrace.disable ())
+      (fun () ->
+        with_pool 1 (fun pool ->
+            (Pipeline.validate_under ~pool ~platform:Platform.a ~load
+               ?resilience ?autoscale ~plan ?profile ~label:"rec" r)
+              .Pipeline.comparison))
+  in
+  let off = run ~recording:false and on = run ~recording:true in
+  Alcotest.(check bool) "recorders on actually recorded" true
+    (on.Pipeline.actual_service.Service.timeline <> None
+    && on.Pipeline.synthetic_service.Service.reqtrace <> None
+    && off.Pipeline.actual_service.Service.timeline = None);
+  Alcotest.(check bool) "per-tier metrics identical" true
+    (on.Pipeline.actual = off.Pipeline.actual && on.Pipeline.synthetic = off.Pipeline.synthetic);
+  Alcotest.(check bool) "end-to-end identical" true
+    (on.Pipeline.actual_end_to_end = off.Pipeline.actual_end_to_end
+    && on.Pipeline.synthetic_end_to_end = off.Pipeline.synthetic_end_to_end
+    && on.Pipeline.actual_raw = off.Pipeline.actual_raw
+    && on.Pipeline.synthetic_raw = off.Pipeline.synthetic_raw);
+  Alcotest.(check bool) "service fingerprints identical" true
+    (service_fingerprint on.Pipeline.actual_service
+     = service_fingerprint off.Pipeline.actual_service
+    && service_fingerprint on.Pipeline.synthetic_service
+       = service_fingerprint off.Pipeline.synthetic_service);
+  Alcotest.(check bool) "the fault fired" true
+    (List.exists
+       (fun (o : Service.tier_obs) -> o.Service.obs_failures + o.Service.obs_shed > 0)
+       off.Pipeline.actual_service.Service.tiers
+    || off.Pipeline.actual_service.Service.client_retries > 0)
+
 let test_speculation_reported () =
   let (r1, _), _ = Lazy.force seq_parallel in
   match r1.Pipeline.tuning with
@@ -423,6 +489,10 @@ let () =
           Alcotest.test_case "reqtrace on/off x pool sizes" `Slow test_reqtrace_invariance;
           Alcotest.test_case "constant profile x pool sizes" `Slow
             test_constant_profile_invariance;
+          Alcotest.test_case "recorders on/off under kill-mid-tier" `Slow
+            (recorders_invariance ~surge:false);
+          Alcotest.test_case "recorders on/off under kill-mid-tier + flash-crowd" `Slow
+            (recorders_invariance ~surge:true);
           Alcotest.test_case "speculation reported" `Quick test_speculation_reported;
         ] );
     ]

@@ -191,6 +191,26 @@ let test_baseline_diff () =
   let llc = List.find (fun (r : Baseline.regression) -> r.Baseline.key <> "mean_error_pct/IPC") regs in
   Alcotest.(check (float 1e-9)) "llc tolerance from last component" 4.0 llc.Baseline.allowed_pp
 
+(* A key dropped from a family the run produced is reported; a family the
+   run did not touch (a partial --apps run) is not. *)
+let test_baseline_missing () =
+  let base =
+    Baseline.make
+      [
+        ("chaos/redis/kill-mid-tier/p99_err_pct", 4.0);
+        ("chaos/redis/flaky-link/p99_err_pct", 0.1);
+        ("chaos/memcached/flaky-link/p99_err_pct", 0.1);
+        ("mean_error_pct/IPC", 3.0);
+      ]
+  in
+  Alcotest.(check (list string)) "complete run" []
+    (Baseline.missing base (List.map (fun (k, v) -> (k, v +. 0.5)) base.Baseline.metrics));
+  Alcotest.(check (list string)) "dropped key in a produced family"
+    [ "chaos/redis/flaky-link/p99_err_pct" ]
+    (Baseline.missing base [ ("chaos/redis/kill-mid-tier/p99_err_pct", 4.0) ]);
+  let regs, _ = Baseline.diff base [ ("chaos/redis/kill-mid-tier/p99_err_pct", 4.0) ] in
+  Alcotest.(check int) "diff alone sees no regression" 0 (List.length regs)
+
 let test_baseline_merge () =
   let base = Baseline.make [ ("a", 1.0); ("b", 2.0) ] in
   let merged = Baseline.merge ~into:base [ ("b", 9.0); ("c", 3.0) ] in
@@ -233,10 +253,13 @@ let sample_doc () =
       tuning = [];
       metrics = [ ("sim.events", 1000.0) ];
       scorecards = [ card ];
-      chaos = [ ("redis/kill-mid-tier/error_rate_pp", 1.2) ];
-      timeline = [ ("redis/kill-mid-tier/worst_window_err_pct", 3.0) ];
-      critpath = [ ("redis/steady/redis/service/share_err_pp", 1.1) ];
-      surge = [ ("redis/flash-crowd/shed_fraction_err_pp", 0.7) ];
+      scenarios =
+        [
+          ("chaos/redis/kill-mid-tier/error_rate_pp", 1.2);
+          ("timeline/redis/kill-mid-tier/worst_window_err_pct", 3.0);
+          ("critpath/redis/steady/redis/service/share_err_pp", 1.1);
+          ("surge/redis/flash-crowd/shed_fraction_err_pp", 0.7);
+        ];
       peak_heap_events = 4096;
       tier_counts = [ ("redis", 1) ];
     }
@@ -271,11 +294,10 @@ let test_schema_drift_rejected () =
       ("missing mean_error_pct", drop "mean_error_pct" doc);
       ("missing engine section", drop "engine" doc);
       ("missing tier_counts", drop "tier_counts" doc);
-      ("missing timeline", drop "timeline" doc);
-      ("stringly timeline value", set "timeline" (J.Obj [ ("k", J.Str "3") ]) doc);
-      ("missing critpath", drop "critpath" doc);
-      ("stringly critpath value", set "critpath" (J.Obj [ ("k", J.Str "3") ]) doc);
+      ("missing scenarios", drop "scenarios" doc);
+      ("stringly scenarios value", set "scenarios" (J.Obj [ ("k", J.Str "3") ]) doc);
       ("old schema version", set "schema_version" (J.int 2) doc);
+      ("previous schema version", set "schema_version" (J.int 9) doc);
       ("stringly total_seconds", set "total_seconds" (J.Str "1.25") doc);
       ( "scorecard row missing err_pct",
         set "scorecards"
@@ -308,6 +330,8 @@ let test_flatten_keys () =
     (List.mem_assoc "timeline/redis/kill-mid-tier/worst_window_err_pct" flat);
   Alcotest.(check bool) "critpath key present" true
     (List.mem_assoc "critpath/redis/steady/redis/service/share_err_pp" flat);
+  Alcotest.(check bool) "surge key present" true
+    (List.mem_assoc "surge/redis/flash-crowd/shed_fraction_err_pp" flat);
   Alcotest.(check (float 1e-12)) "experiment wall key" 1.0
     (List.assoc "experiments/scorecards/wall_seconds" flat);
   Alcotest.(check (float 1e-12)) "total wall key" 1.25
@@ -334,6 +358,7 @@ let () =
       ( "baseline",
         [
           Alcotest.test_case "diff" `Quick test_baseline_diff;
+          Alcotest.test_case "missing keys" `Quick test_baseline_missing;
           Alcotest.test_case "merge" `Quick test_baseline_merge;
           Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
         ] );

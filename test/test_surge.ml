@@ -15,6 +15,7 @@ module Ts = Ditto_obs.Timeseries
 module Platform = Ditto_uarch.Platform
 module Rng = Ditto_util.Rng
 module Pool = Ditto_util.Pool
+module Scenario = Ditto_core.Scenario
 
 let contains hay needle =
   let h = String.length hay and n = String.length needle in
@@ -831,11 +832,96 @@ let test_golden_steady_pins () =
 let test_scenario_name () =
   let plan = Plan.make ~name:"kill" [] in
   let prof = Profile.flash_crowd ~duration:1.0 () in
-  Alcotest.(check string) "steady" "steady" (Pipeline.scenario_name ());
-  Alcotest.(check string) "plan only" "kill" (Pipeline.scenario_name ~plan ());
-  Alcotest.(check string) "profile only" "flash-crowd" (Pipeline.scenario_name ~surge:prof ());
+  let name = Ditto_core.Scenario.name in
+  Alcotest.(check string) "steady" "steady" (name Ditto_core.Scenario.steady);
+  Alcotest.(check string) "plan only" "kill" (name (Ditto_core.Scenario.make ~plan ()));
+  Alcotest.(check string) "profile only" "flash-crowd"
+    (name (Ditto_core.Scenario.make ~profile:prof ()));
   Alcotest.(check string) "both" "kill+flash-crowd"
-    (Pipeline.scenario_name ~plan ~surge:prof ())
+    (name (Ditto_core.Scenario.make ~plan ~profile:prof ()))
+
+(* {1 Scenario loader: canonical names, files, typed errors} *)
+
+let bad_inputs () =
+  let file contents =
+    let path = Filename.temp_file "ditto_scenario" ".json" in
+    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents);
+    path
+  in
+  let event fields = Printf.sprintf {|{"name": "bad", "events": [{%s}]}|} fields in
+  [
+    ("missing file", `Plan, Filename.concat (Filename.get_temp_dir_name ()) "no-such-plan.json");
+    ("malformed JSON", `Plan, file "{ \"name\": ");
+    ("unknown event kind", `Plan, file (event {|"at": 0.1, "tier": "redis", "kind": "meteor"|}));
+    ( "non-numeric at",
+      `Plan,
+      file (event {|"at": "soon", "tier": "redis", "kind": "crash", "down_for": 0.1|}) );
+    ( "unknown tier",
+      `Plan,
+      file (event {|"at": 0.1, "tier": "nope", "kind": "crash", "down_for": 0.1|}) );
+    ("unknown profile name", `Profile, "tsunami");
+    ("malformed profile file", `Profile, file "[1, 2");
+  ]
+
+let load_sel (kind, sel) =
+  let tiers = [ "redis" ] and duration = 0.8 in
+  match kind with
+  | `Plan -> Scenario.load ~duration ~tiers ~plan:sel ()
+  | `Profile -> Scenario.load ~duration ~tiers ~profile:sel ()
+
+let test_scenario_load () =
+  (match load_sel (`Plan, "kill-mid-tier") with
+  | Ok sc ->
+      Alcotest.(check string) "canonical plan" "kill-mid-tier" (Scenario.name sc);
+      Alcotest.(check bool) "plan armoured, no autoscaling" true
+        (match sc.Scenario.armour with Some a -> a.Scenario.autoscale = None | None -> false)
+  | Error e -> Alcotest.failf "canonical plan rejected: %s" e);
+  (match Scenario.load ~duration:0.8 ~tiers:[ "redis" ] ~plan:"flaky-link" ~profile:"flash-crowd" ()
+   with
+  | Ok sc ->
+      Alcotest.(check string) "composed" "flaky-link+flash-crowd" (Scenario.name sc);
+      Alcotest.(check bool) "profile arms autoscaling and the 48-deep bound" true
+        (match sc.Scenario.armour with
+        | Some a ->
+            a.Scenario.autoscale <> None
+            && a.Scenario.resilience.Spec.queue_bound = Some 48
+        | None -> false)
+  | Error e -> Alcotest.failf "canonical pair rejected: %s" e);
+  (match Scenario.load ~duration:0.8 ~tiers:[ "redis" ] () with
+  | Ok sc -> Alcotest.(check bool) "no selectors is steady" true (sc.Scenario.armour = None)
+  | Error e -> Alcotest.failf "steady rejected: %s" e);
+  let path = Filename.temp_file "ditto_scenario" ".json" in
+  Plan.save ~path (Plan.kill_mid_tier ~duration:0.8 ~tiers:[ "redis" ] ());
+  (match load_sel (`Plan, path) with
+  | Ok sc -> Alcotest.(check string) "plan file" "kill-mid-tier" (Scenario.name sc)
+  | Error e -> Alcotest.failf "plan file rejected: %s" e);
+  Sys.remove path;
+  List.iter
+    (fun (what, kind, sel) ->
+      match load_sel (kind, sel) with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error msg -> Alcotest.(check bool) (what ^ ": message") true (msg <> "")
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    (bad_inputs ())
+
+(* The CLI checks its scenario before cloning anything, so each bad input
+   is a quick exit 2. *)
+let test_cli_exit_codes () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/ditto_cli.exe"
+  in
+  List.iter
+    (fun (what, kind, sel) ->
+      let flag = match kind with `Plan -> "--plan" | `Profile -> "--profile" in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Unix.create_process exe [| exe; "scenario"; "redis"; flag; sel |] null null null
+      in
+      Unix.close null;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED code -> Alcotest.(check int) (what ^ ": exit code") 2 code
+      | _ -> Alcotest.failf "%s: ditto_cli killed by a signal" what)
+    (bad_inputs ())
 
 let () =
   Alcotest.run "surge"
@@ -866,4 +952,9 @@ let () =
         ] );
       ( "scorecard",
         [ Alcotest.test_case "surge fidelity" `Slow test_surge_scorecard ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "loader names, files and typed errors" `Quick test_scenario_load;
+          Alcotest.test_case "ditto_cli exits 2 on bad inputs" `Quick test_cli_exit_codes;
+        ] );
     ]

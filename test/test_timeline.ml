@@ -347,8 +347,8 @@ let timelines_with pool =
   Fun.protect ~finally:Ts.disable (fun () ->
       let ch = Pipeline.validate_under ~pool ~platform:Platform.a ~load ~plan ~label:"tl" r in
       match
-        ( ch.Pipeline.actual_service.Service.timeline,
-          ch.Pipeline.synthetic_service.Service.timeline )
+        ( ch.Pipeline.comparison.Pipeline.actual_service.Service.timeline,
+          ch.Pipeline.comparison.Pipeline.synthetic_service.Service.timeline )
       with
       | Some a, Some c -> (Ts.to_openmetrics a, Ts.to_openmetrics c, a, c)
       | _ -> Alcotest.fail "telemetry enabled but no timeline collected")
